@@ -10,10 +10,9 @@ string builtins, diversions, and full rescanning of expansion output.
 Dialect notes (differences from POSIX m4, all documented in README):
 
 * macro names are ``[A-Za-z_][A-Za-z0-9_]*`` (same as m4);
-* arguments are collected raw (balancing parentheses and quotes) and then
-  expanded, instead of being expanded token-by-token during collection —
-  an expansion that *produces* a comma therefore cannot create a new
-  argument;
+* as in m4, macros met while collecting arguments are expanded at once
+  and their output rescanned, so an expansion that produces a comma
+  does create a new argument (the ``shift($@)`` idiom relies on it);
 * ``#`` comments are not special (the Force library does not use them;
   Fortran ``C`` comment lines pass through untouched);
 * ``divert`` supports buffers 0–9 and -1 (discard).

@@ -9,7 +9,9 @@ macro calls which are expanded in the same rescanning pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from repro._util.errors import MacroError
@@ -19,6 +21,29 @@ from repro.m4.reader import PushbackReader
 _WORD_START = set("abcdefghijklmnopqrstuvwxyz"
                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _WORD_CHARS = _WORD_START | set("0123456789")
+
+# Character runs the scanner consumes in one step (see PushbackReader.
+# read_run).  A word's first character is checked before _WORD_RUN
+# takes the rest of it.
+_WORD_RUN = re.compile(r"[A-Za-z0-9_]*")
+_BLANK_RUN = re.compile(r"[ \t\n]*")
+_LINE_RUN = re.compile(r"[^\n]*")
+_DOLLAR_REF = re.compile(r"\$([0-9#*@])")
+
+
+@lru_cache(maxsize=32)
+def _quote_runs(open_quote: str, close_quote: str) -> tuple[re.Pattern, ...]:
+    """Run patterns for one quote pair: (literal, quoted body, argument).
+
+    Each run stops at the first character of a quote string, so a
+    multi-character quote is still recognised by ``PushbackReader.match``
+    one character at a time; every other character is consumed in runs.
+    """
+    o = re.escape(open_quote[0])
+    c = re.escape(close_quote[0])
+    return (re.compile(f"[^A-Za-z_{o}]*"),
+            re.compile(f"[^{o}{c}]*"),
+            re.compile(f"[^A-Za-z_(),{o}]*"))
 
 
 @dataclass
@@ -37,12 +62,9 @@ class M4Options:
     max_iterations: int = 20_000_000
 
 
-@dataclass
-class _Definition:
-    """One entry on a macro's definition stack (pushdef support)."""
-
-    body: str | None = None
-    builtin: Callable | None = None
+#: One entry on a macro's definition stack: a user macro's body, or the
+#: Python function implementing a builtin.
+_Definition = str | Callable
 
 
 class M4Processor:
@@ -61,14 +83,38 @@ class M4Processor:
 
     def __init__(self, options: M4Options | None = None) -> None:
         self.options = options or M4Options()
-        self._open = self.options.open_quote
-        self._close = self.options.close_quote
-        # name -> stack of definitions (top = last)
-        self._macros: dict[str, list[_Definition]] = {}
+        self._set_quotes(self.options.open_quote, self.options.close_quote)
+        # name -> stack of definitions (top = last).  Stacks are tuples,
+        # replaced rather than mutated, so clones can share them.
+        self._macros: dict[str, tuple[_Definition, ...]] = {}
         self._diversions: dict[int, list[str]] = {}
         self._current_diversion = 0
         self._includes: dict[str, str] = {}
         self._install_builtins()
+
+    def clone(self) -> M4Processor:
+        """An independent copy of this processor's whole state.
+
+        The macro table, diversions and includes are copied, so nothing
+        the copy expands can reach this processor.  The definition
+        stacks themselves are shared: they are immutable tuples.
+        """
+        twin = M4Processor.__new__(M4Processor)
+        twin.options = replace(self.options)
+        twin._open = self._open
+        twin._close = self._close
+        twin._runs = self._runs
+        twin._macros = dict(self._macros)
+        twin._diversions = {n: parts[:]
+                            for n, parts in self._diversions.items()}
+        twin._current_diversion = self._current_diversion
+        twin._includes = dict(self._includes)
+        return twin
+
+    def _set_quotes(self, open_quote: str, close_quote: str) -> None:
+        self._open = open_quote
+        self._close = close_quote
+        self._runs = _quote_runs(open_quote, close_quote)
 
     # ------------------------------------------------------------------
     # public definition API
@@ -76,24 +122,20 @@ class M4Processor:
     def define(self, name: str, body: str) -> None:
         """Define ``name`` to expand to ``body`` (replacing the top def)."""
         self._check_name(name)
-        stack = self._macros.setdefault(name, [])
-        if stack:
-            stack[-1] = _Definition(body=body)
-        else:
-            stack.append(_Definition(body=body))
+        stack = self._macros.get(name, ())
+        self._macros[name] = stack[:-1] + (body,)
 
     def pushdef(self, name: str, body: str) -> None:
         """Push a new definition, shadowing any previous one."""
-        self._check_name(name)
-        self._macros.setdefault(name, []).append(_Definition(body=body))
+        self._push(name, body)
 
     def popdef(self, name: str) -> None:
         """Remove the top definition of ``name`` (no-op if undefined)."""
         stack = self._macros.get(name)
-        if stack:
-            stack.pop()
-            if not stack:
-                del self._macros[name]
+        if stack and len(stack) > 1:
+            self._macros[name] = stack[:-1]
+        else:
+            self._macros.pop(name, None)
 
     def undefine(self, name: str) -> None:
         """Remove every definition of ``name``."""
@@ -105,9 +147,9 @@ class M4Processor:
     def definition_of(self, name: str) -> str | None:
         """Return the body of the top definition, or None."""
         stack = self._macros.get(name)
-        if not stack:
+        if not stack or not isinstance(stack[-1], str):
             return None
-        return stack[-1].body
+        return stack[-1]
 
     def define_builtin(self, name: str, func: Callable) -> None:
         """Register a Python-implemented macro.
@@ -116,8 +158,11 @@ class M4Processor:
         (``args[0]`` is the macro name) and returns replacement text,
         which is rescanned like any other expansion.
         """
+        self._push(name, func)
+
+    def _push(self, name: str, definition: _Definition) -> None:
         self._check_name(name)
-        self._macros.setdefault(name, []).append(_Definition(builtin=func))
+        self._macros[name] = self._macros.get(name, ()) + (definition,)
 
     def add_include(self, name: str, text: str) -> None:
         """Make ``include(name)`` available (no filesystem access)."""
@@ -174,26 +219,34 @@ class M4Processor:
     # scanning
     # ------------------------------------------------------------------
     def _scan_piece(self, reader: PushbackReader) -> str | None:
-        """Scan one lexical item; return output text or None at EOF."""
-        if reader.at_eof():
+        """Scan one lexical item; return output text or None at EOF.
+
+        An item is a quoted string, a word, or a run of literal text up
+        to the next word start or open quote.
+        """
+        ch = reader.peek()
+        if not ch:
             return None
         # Quoted string: strip one quote level, emit contents verbatim.
-        if reader.match(self._open):
+        if ch == self._open[0] and reader.match(self._open):
             return self._read_quoted(reader)
-        ch = reader.peek()
         if ch in _WORD_START:
-            word = reader.read_while(lambda c: c in _WORD_CHARS)
+            word = reader.read_run(_WORD_RUN)
             if word in self._macros:
                 self._invoke(word, reader)
                 return ""
             return word
-        return reader.next()
+        # A lone quote-start character that did not open a quote
+        # (multi-character quotes) is literal on its own.
+        return reader.read_run(self._runs[0]) or reader.next()
 
     def _read_quoted(self, reader: PushbackReader) -> str:
         """Read to the matching close quote; nested quotes are kept."""
         depth = 1
         out: list[str] = []
+        body = self._runs[1]
         while True:
+            out.append(reader.read_run(body))
             if reader.at_eof():
                 raise MacroError("unbalanced quotes (EOF inside quoted "
                                  "string)")
@@ -216,17 +269,15 @@ class M4Processor:
             reader.next()
             args += self._collect_args(reader)
         definition = self._macros[name][-1]
-        if definition.builtin is not None:
-            replacement = definition.builtin(self, args)
+        if not isinstance(definition, str):
+            replacement = definition(self, args)
             if replacement is _DNL:
                 # dnl: discard input through the next newline.
-                while True:
-                    ch = reader.next()
-                    if ch == "" or ch == "\n":
-                        return
+                reader.read_run(_LINE_RUN)
+                reader.next()
                 return
         else:
-            replacement = self._substitute(definition.body or "", args)
+            replacement = self._substitute(definition, args)
         if replacement:
             reader.push(replacement)
 
@@ -257,21 +308,24 @@ class M4Processor:
             if reader.at_eof():
                 raise MacroError("EOF while collecting macro arguments")
             if at_arg_start:
-                ch = reader.peek()
-                if ch in " \t\n":
-                    reader.next()
-                    continue
+                reader.read_run(_BLANK_RUN)
                 at_arg_start = False
-            if reader.match(self._open):
-                current.append(self._read_quoted(reader))
                 continue
             ch = reader.peek()
+            if ch == self._open[0] and reader.match(self._open):
+                current.append(self._read_quoted(reader))
+                continue
             if ch in _WORD_START:
-                word = reader.read_while(lambda c: c in _WORD_CHARS)
+                word = reader.read_run(_WORD_RUN)
                 if word in self._macros:
                     self._invoke(word, reader)
                 else:
                     current.append(word)
+                continue
+            # Text up to the next parenthesis, comma, quote or word.
+            text = reader.read_run(self._runs[2])
+            if text:
+                current.append(text)
                 continue
             ch = reader.next()
             if ch == "(":
@@ -292,35 +346,21 @@ class M4Processor:
     # body substitution
     # ------------------------------------------------------------------
     def _substitute(self, body: str, args: list[str]) -> str:
-        out: list[str] = []
-        i = 0
-        n = len(body)
-        while i < n:
-            ch = body[i]
-            if ch == "$" and i + 1 < n:
-                nxt = body[i + 1]
-                if nxt.isdigit():
-                    idx = ord(nxt) - ord("0")
-                    if idx < len(args):
-                        out.append(args[idx])
-                    i += 2
-                    continue
-                if nxt == "#":
-                    out.append(str(len(args) - 1))
-                    i += 2
-                    continue
-                if nxt == "*":
-                    out.append(",".join(args[1:]))
-                    i += 2
-                    continue
-                if nxt == "@":
-                    quoted = [self._open + a + self._close for a in args[1:]]
-                    out.append(",".join(quoted))
-                    i += 2
-                    continue
-            out.append(ch)
-            i += 1
-        return "".join(out)
+        if "$" not in body:
+            return body
+
+        def expand(ref: re.Match) -> str:
+            what = ref.group(1)
+            if what == "#":
+                return str(len(args) - 1)
+            if what == "*":
+                return ",".join(args[1:])
+            if what == "@":
+                return ",".join(self.quote(a) for a in args[1:])
+            idx = int(what)
+            return args[idx] if idx < len(args) else ""
+
+        return _DOLLAR_REF.sub(expand, body)
 
     # ------------------------------------------------------------------
     # builtins
@@ -501,8 +541,7 @@ def _bi_dnl(m4: M4Processor, args: list[str]) -> _DnlMarker:
 
 
 def _bi_changequote(m4: M4Processor, args: list[str]) -> str:
-    m4._open = _arg(args, 1, "`") or "`"
-    m4._close = _arg(args, 2, "'") or "'"
+    m4._set_quotes(_arg(args, 1, "`") or "`", _arg(args, 2, "'") or "'")
     return ""
 
 

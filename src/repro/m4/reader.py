@@ -9,6 +9,8 @@ guard is O(1) per scan step.
 
 from __future__ import annotations
 
+import re
+
 
 class PushbackReader:
     """A character stream supporting arbitrary pushback of strings."""
@@ -75,34 +77,31 @@ class PushbackReader:
                 return False
         return True
 
-    def read_while(self, predicate) -> str:
-        """Consume characters while ``predicate(ch)`` holds."""
-        out: list[str] = []
-        while True:
-            self._trim()
-            if not self._frames:
+    def read_run(self, pattern: re.Pattern) -> str:
+        """Consume the longest run of characters matching ``pattern``.
+
+        ``pattern`` matches a possibly empty run of one character class
+        (``[...]*``), so a run that reaches the end of the top frame
+        carries on into the frame below: a word may begin in an
+        expansion and end in the text after it.
+        """
+        frames = self._frames
+        parts: list[str] = []
+        while frames:
+            frame = frames[-1]
+            text, pos = frame
+            end = pattern.match(text, pos).end()
+            parts.append(text[pos:end])
+            frame[1] = end
+            self._pending -= end - pos
+            if end < len(text):
                 break
-            text, pos = self._frames[-1]
-            # Scan within the top frame without per-char next() calls.
-            end = pos
-            n = len(text)
-            while end < n and predicate(text[end]):
-                end += 1
-            if end > pos:
-                out.append(text[pos:end])
-                self._frames[-1][1] = end
-                self._pending -= end - pos
-            if end < n:
-                break
-        return "".join(out)
+            frames.pop()
+        return "".join(parts)
 
     def pending_length(self) -> int:
         """Total unread characters (used for runaway-expansion guards)."""
         return self._pending
-
-    def frame_count(self) -> int:
-        """Depth of the pushback stack (second runaway guard)."""
-        return len(self._frames)
 
     def _trim(self) -> None:
         frames = self._frames

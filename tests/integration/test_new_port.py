@@ -79,6 +79,21 @@ class TestSeventhPort:
         for name in MACHDEP_INTERFACE:
             assert m4.is_defined(name)
 
+    def test_changed_port_definitions_are_used(self, ported, monkeypatch):
+        # The library snapshot is keyed by definition text, so editing a
+        # port (same machine key) takes effect on the next translation.
+        source = programs.render("sum_critical")
+        assert "CALL SPINLK(" in force_translate(source, ported).fortran
+
+        class _RevisedPort:
+            DEFINITIONS = NEW_MACHDEP_DEFINITIONS.replace(
+                "SPINLK", "CEDLCK").replace("SPINUN", "CEDUNL")
+
+        monkeypatch.setitem(MACHDEP_MODULES, ported.key, _RevisedPort)
+        fortran = force_translate(source, ported).fortran
+        assert "CALL CEDLCK(" in fortran and "CALL CEDUNL(" in fortran
+        assert "SPINLK" not in fortran
+
     def test_lock_names_consistent_with_model(self, ported):
         lock_name, unlock_name = LOCK_CALL_NAMES[ported.lock_type]
         fortran = force_translate(

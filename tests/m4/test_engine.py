@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.m4 import M4Processor, MacroError
+from repro.m4 import M4Options, M4Processor, MacroError
 
 
 @pytest.fixture()
@@ -162,7 +162,7 @@ class TestQuoting:
         assert m4.process("``a''") == "`a'"
 
     def test_unbalanced_quote_raises(self, m4):
-        with pytest.raises(MacroError):
+        with pytest.raises(MacroError, match="EOF inside quoted string"):
             m4.process("`abc")
 
     def test_changequote(self, m4):
@@ -355,7 +355,8 @@ class TestRobustness:
 
     def test_eof_in_args(self, m4):
         m4.define("f", "$1")
-        with pytest.raises(MacroError):
+        with pytest.raises(MacroError,
+                           match="EOF while collecting macro arguments"):
             m4.process("f(unclosed")
 
     def test_load_definitions_ok(self, m4):
@@ -374,3 +375,207 @@ class TestRobustness:
     def test_definitions_persist_across_process_calls(self, m4):
         m4.process("define(`a', `1')")
         assert m4.process("a") == "1"
+
+
+def _limited(**limits):
+    return M4Processor(M4Options(**limits))
+
+
+class TestLimits:
+    def test_self_reinvoking_macro_hits_iteration_limit(self):
+        m4 = _limited(max_iterations=1000)
+        m4.define("again", "again")
+        with pytest.raises(MacroError, match="scan iteration limit exceeded"):
+            m4.process("again")
+
+    def test_growing_recursion_hits_pending_limit(self):
+        m4 = _limited(max_pending=500)
+        m4.define("loop", "loop loop")
+        with pytest.raises(MacroError,
+                           match=r"pending input limit exceeded \(runaway"):
+            m4.process("loop")
+
+    def test_plain_text_hits_output_limit(self):
+        m4 = _limited(max_output=50)
+        with pytest.raises(MacroError, match="output size limit exceeded"):
+            m4.process("1234567890 " * 10)
+
+    def test_expansion_hits_output_limit(self):
+        m4 = _limited(max_output=50)
+        m4.define("ten", "0123456789")
+        with pytest.raises(MacroError, match="output size limit exceeded"):
+            m4.process("ten " * 10)
+
+    def test_output_at_the_limit_passes(self):
+        m4 = _limited(max_output=50)
+        assert m4.process("x" * 50) == "x" * 50
+
+    def test_livelock_inside_arguments_hits_iteration_limit(self):
+        m4 = _limited(max_iterations=1000)
+        m4.define("again", "again")
+        m4.define("f", "$1")
+        with pytest.raises(MacroError, match="iteration limit exceeded "
+                                             "while collecting"):
+            m4.process("f(again)")
+
+    def test_recursion_inside_arguments_hits_pending_limit(self):
+        m4 = _limited(max_pending=500)
+        m4.define("loop", "loop loop")
+        m4.define("f", "$1")
+        with pytest.raises(MacroError, match="pending input limit exceeded "
+                                             "while collecting"):
+            m4.process("f(loop)")
+
+
+class TestEndOfInput:
+    def test_eof_inside_nested_quote(self, m4):
+        with pytest.raises(MacroError, match="EOF inside quoted string"):
+            m4.process("``inner' only one level closed")
+
+    def test_eof_inside_quoted_argument(self, m4):
+        m4.define("f", "$1")
+        with pytest.raises(MacroError, match="EOF inside quoted string"):
+            m4.process("f(`open)")
+
+    def test_eof_inside_nested_parentheses(self, m4):
+        m4.define("f", "$1")
+        with pytest.raises(MacroError,
+                           match="EOF while collecting macro arguments"):
+            m4.process("f(a, (b)")
+
+    def test_eof_after_comma_while_collecting(self, m4):
+        m4.define("f", "$1")
+        with pytest.raises(MacroError,
+                           match="EOF while collecting macro arguments"):
+            m4.process("f(a,   \n")
+
+
+class TestPushbackFrames:
+    """Items that begin in an expansion and end in the text after it."""
+
+    def test_quote_opened_by_expansion(self, m4):
+        m4.define("lq", "`")
+        m4.define("b", "B")
+        assert m4.process("lq b' b") == " b B"
+
+    def test_quote_closed_by_expansion(self, m4):
+        m4.define("f", "[$1]")
+        m4.define("rq", "'")
+        # The argument's quote opens in the input and the close quote
+        # comes from nowhere else: EOF inside the quoted string.
+        with pytest.raises(MacroError, match="EOF inside quoted string"):
+            m4.process("f(`a rq)")
+
+    def test_word_continues_past_expansion(self, m4):
+        m4.define("pre", "na")
+        m4.define("name", "NAME")
+        assert m4.process("pre()me") == "NAME"
+
+    def test_arguments_opened_by_expansion(self, m4):
+        m4.define("call", "one(")
+        m4.define("one", "<$1|$2>")
+        assert m4.process("call  x, y) tail") == "<x|y> tail"
+
+    def test_argument_separator_from_expansion(self, m4):
+        m4.define("comma", ",")
+        m4.define("two", "<$1|$2>")
+        assert m4.process("two(a comma b)") == "<a |b>"
+
+    def test_quoted_argument_spans_frames(self, m4):
+        m4.define("lq", "`")
+        m4.define("one", "<$1>")
+        m4.define("b", "B")
+        # One quote level is stripped; the body is rescanned (as in m4).
+        assert m4.process("one(lq b, c')") == "< B, c>"
+
+    def test_dnl_line_spans_frames(self, m4):
+        m4.define("eat", "dnl x")
+        assert m4.process("a eat rest\nb") == "a b"
+
+
+class TestLiteralRuns:
+    def test_digit_then_word_expands_word(self, m4):
+        m4.define("x", "X")
+        assert m4.process("1x") == "1X"
+
+    def test_word_with_trailing_digit_is_one_word(self, m4):
+        m4.define("x", "X")
+        assert m4.process("x1 x") == "x1 X"
+
+    def test_quote_splits_words(self, m4):
+        for name in "abc":
+            m4.define(name, name.upper())
+        assert m4.process("a`b'c") == "AbC"
+
+    def test_close_quote_outside_quotes_is_literal(self, m4):
+        assert m4.process("it's 12+3=15;") == "it's 12+3=15;"
+
+    def test_punctuation_runs_around_macros(self, m4):
+        m4.define("v", "7")
+        assert m4.process("(v, v)*[v]-{v}") == "(7, 7)*[7]-{7}"
+
+    def test_dollar_references_in_body(self, m4):
+        m4.define("f", "$$1 $# $* $@ $9 $")
+        m4.define("g", "<$1>")
+        assert m4.process("f(a, b)") == "$a 2 a,b a,b  $"
+
+
+class TestMultiCharacterQuotes:
+    def test_quotes_strip_one_level(self, m4):
+        m4.define("a", "A")
+        assert m4.process("changequote(<<, >>)<<a>> a") == "a A"
+
+    def test_lone_first_character_is_literal(self, m4):
+        m4.define("b", "B")
+        assert m4.process("changequote(<<, >>)<b < >b>") == "<B < >B>"
+
+    def test_nested_quotes(self, m4):
+        assert m4.process("changequote(<<, >>)<<<<x>> y>>") == "<<x>> y"
+
+    def test_quoted_argument(self, m4):
+        m4.define("a", "A")
+        m4.define("one", "[$1]")
+        out = m4.process("changequote(<<, >>)one(<<<<a>>, <b>>)")
+        assert out == "[a, <b]"
+
+    def test_open_quote_spans_frames(self, m4):
+        m4.define("a", "A")
+        m4.define("half", "<")
+        assert m4.process("changequote(<<, >>)half()<a>> a") == "a A"
+
+    def test_eof_inside_multi_character_quote(self, m4):
+        with pytest.raises(MacroError, match="EOF inside quoted string"):
+            m4.process("changequote(<<, >>)<<never >")
+
+    def test_single_character_quotes_other_than_default(self, m4):
+        m4.define("a", "A")
+        assert m4.process("changequote([, ])[a, [a]] a'`") == "a, [a] A'`"
+
+
+class TestClone:
+    def test_clone_matches_original(self, m4):
+        m4.process("define(`a', `1')pushdef(`a', `2')divert(2)kept`'"
+                   "divert(0)changequote([, ])")
+        twin = m4.clone()
+        assert twin.process("a [a] undivert(2)") == "2 a kept"
+
+    def test_clone_writes_do_not_reach_original(self, m4):
+        m4.define("a", "1")
+        twin = m4.clone()
+        twin.process("define(`a', `X')pushdef(`a', `Y')define(`new', `N')"
+                     "divert(3)hidden divert(1)changequote([, ])")
+        assert m4.process("a new `q' divnum undivert(3)") == "1 new q 0 "
+
+    def test_original_writes_do_not_reach_clone(self, m4):
+        m4.define("a", "1")
+        twin = m4.clone()
+        m4.process("popdef(`a')undefine(`define')")
+        assert twin.process("define(`b', `2')a b") == "1 2"
+
+    def test_clone_keeps_includes_and_options(self):
+        m4 = _limited(max_output=5)
+        m4.add_include("defs", "define(`z', `26')")
+        twin = m4.clone()
+        assert twin.process("include(`defs')z") == "26"
+        with pytest.raises(MacroError, match="output size"):
+            twin.process("123456")
