@@ -33,6 +33,9 @@ once with :func:`compile`.  Three things make it fast:
 Artifacts are cached per ``(unit, facts_digest, cost_scale)`` — the
 facts digest in the key is what invalidates ``kernel_eligible``
 decisions when a different (or stale) facts document is supplied.
+Below that, compiled code objects are shared per process by a digest
+of the generated source, so a re-parsed program re-emits its units but
+does not re-``compile()`` them.
 A unit using a construct this layer cannot prove equivalent raises
 :class:`CodegenUnsupported`; the interpreter then falls back to the
 closure tier and records the reason in ``compile_fallbacks``.
@@ -43,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
+from types import CodeType
 
 import numpy as np
 
@@ -566,6 +570,28 @@ class _Artifact:
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+#: digest of generated source -> its compiled code object.  Units are
+#: re-parsed on every run, so ``_CACHE`` misses and emission repeats;
+#: identical source text compiles to an identical code object, so the
+#: ``compile()`` is paid once per process.  Each unit still ``exec``s
+#: it into a fresh namespace of its own constants.  Filled without a
+#: lock: a racing fill compiles the same source twice.
+_CODE_OBJECTS: dict[bytes, CodeType] = {}
+#: Past this many entries new code objects are compiled but not kept.
+_MAX_CODE_OBJECTS = 512
+
+
+def _code_for(source: str, unit_name: str) -> CodeType:
+    # the source's first line names the unit, so one key has one filename
+    key = hashlib.sha256(source.encode()).digest()
+    code = _CODE_OBJECTS.get(key)
+    if code is None:
+        code = compile(source, f"<codegen {unit_name}>", "exec")
+        if len(_CODE_OBJECTS) < _MAX_CODE_OBJECTS:
+            _CODE_OBJECTS[key] = code
+    return code
+
+
 def _consults_valid(consults, interp) -> bool:
     """Replay the handler queries recorded at emit time: an artifact is
     reusable only under a handler that answers them identically."""
@@ -642,8 +668,7 @@ class CodegenProgram:
                            self.eligible.get(unit.name.upper()) or set())
         try:
             source, namespace = emitter.emit()
-            code = compile(source, f"<codegen {unit.name}>", "exec")
-            exec(code, namespace)
+            exec(_code_for(source, unit.name), namespace)
             artifact = _Artifact(
                 self.facts_key, scale, tuple(sorted(set(emitter.consults))),
                 fn=namespace["_gen"], source=source,

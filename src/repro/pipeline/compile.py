@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 
 from repro._util.errors import ForceError
 from repro.machines.model import MachineModel
-from repro.macros import build_processor
+from repro.macros import (
+    build_processor,
+    machdep_definitions,
+    machindep_definitions,
+)
 from repro.sedstage import translate_force_source
 
 _DRIVER_BEGIN = "C$FORCE BEGIN DRIVER"
@@ -74,19 +79,54 @@ def force_translate(source: str, machine: MachineModel,
     selfscheduled-DOALL dispatch policy (see ``ZZSCHED`` in the
     machine-independent library); the defaults reproduce the paper's
     one-index-per-lock expansion exactly.
+
+    The expansion is computed once per process for each distinct
+    program text and definition set; every call still returns a fresh
+    result carrying the caller's ``machine``.
     """
-    sed_output = translate_force_source(source)
-    m4 = build_processor(machine, scheduling_definitions(sched, chunk))
-    expanded = m4.process(sed_output + "\nforce_finalize()\n")
-    fortran = _relocate_driver(expanded)
-    directives = _DIRECTIVE.findall(fortran)
+    extra = scheduling_definitions(sched, chunk)
+    key = _expansion_key(source, machdep_definitions(machine),
+                         machindep_definitions(), extra)
+    expansion = _EXPANSIONS.get(key)
+    if expansion is None:
+        sed_output = translate_force_source(source)
+        m4 = build_processor(machine, extra)
+        expanded = m4.process(sed_output + "\nforce_finalize()\n")
+        fortran = _relocate_driver(expanded)
+        expansion = (sed_output, fortran,
+                     tuple(_DIRECTIVE.findall(fortran)))
+        if len(_EXPANSIONS) < _MAX_EXPANSIONS:
+            _EXPANSIONS[key] = expansion
+    sed_output, fortran, directives = expansion
     return TranslationResult(
         machine=machine,
         force_source=source,
         sed_output=sed_output,
         fortran=fortran,
-        shared_directives=directives,
+        shared_directives=list(directives),
     )
+
+
+#: digest of every expansion input -> (sed output, Fortran, shared
+#: directives).  The expansion is a pure function of the program text
+#: and the three definition texts, so an entry never goes stale, and
+#: keying on a digest rather than the text keeps the sources unpinned.
+#: Filled without a lock: a racing fill computes the same value twice.
+#: A translation that raises stores nothing.
+_EXPANSIONS: dict[bytes, tuple[str, str, tuple[str, ...]]] = {}
+#: Past this many entries new expansions are computed but not kept.
+_MAX_EXPANSIONS = 512
+
+
+def _expansion_key(*texts: str | None) -> bytes:
+    """sha256 of the texts, each length-prefixed so that no two
+    different tuples of texts feed the hash the same bytes."""
+    digest = hashlib.sha256()
+    for text in texts:
+        data = (text or "").encode()
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    return digest.digest()
 
 
 def _relocate_driver(expanded: str) -> str:

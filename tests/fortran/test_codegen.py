@@ -3,7 +3,8 @@
 The differential contract (codegen vs closures vs tree-walker) lives
 in ``test_compiled_vs_interp.py``; this file covers what is unique to
 the generated-source tier — the artifact cache keyed on the facts
-digest, the numpy kernel gate, provenance comments, and the
+digest, the per-process code-object table keyed on the generated
+source, the numpy kernel gate, provenance comments, and the
 stale-facts refusal in the CLI.
 """
 
@@ -13,7 +14,7 @@ import pytest
 
 from repro._util.text import strip_margin
 from repro.fortran import codegen
-from repro.fortran.interp import Cost, Interpreter
+from repro.fortran.interp import Cost, Interpreter, drain
 from repro.fortran.parser import parse_source
 
 KERNEL_SOURCE = strip_margin("""\
@@ -94,6 +95,95 @@ class TestArtifactCacheKeyedOnFacts:
         interp, _, _ = run_source_tier(program,
                                        facts=kern_facts(race_free=False))
         assert interp.codegen_kernelized == {}
+
+
+@pytest.fixture()
+def code_table(monkeypatch):
+    """An empty code-object table, restored after the test."""
+    table: dict = {}
+    monkeypatch.setattr(codegen, "_CODE_OBJECTS", table)
+    return table
+
+
+@pytest.fixture()
+def compiled_sources(monkeypatch):
+    """Every source text codegen hands to ``compile()``, in order."""
+    sources: list[str] = []
+
+    def counting_compile(source, *args, **kwargs):
+        sources.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
+    return sources
+
+
+def lock_stats(result):
+    stats = result.stats
+    return (stats.lock_acquisitions, stats.contended_acquisitions,
+            stats.spin_cycles, stats.context_switches)
+
+
+class TestCodeObjectTable:
+    def test_runs_compile_each_distinct_source_once(self, code_table,
+                                                    compiled_sources):
+        from repro.core import HEP, force_run, programs
+        from repro.pipeline import force_translate
+        translation = force_translate(programs.render("subroutine_call"),
+                                      HEP)
+        first = force_run(translation, 3)
+        compiled = len(compiled_sources)
+        second = force_run(translation, 3)
+        # the second run re-parses and re-emits, but compiles nothing
+        assert len(compiled_sources) == compiled
+        assert len(set(compiled_sources)) == compiled == len(code_table)
+        assert set(first.codegen_sources.values()) <= set(compiled_sources)
+        assert second.codegen_sources == first.codegen_sources
+        oracle = force_run(translation, 3, codegen="interp")
+        for result in (first, second):
+            assert result.compile_fallbacks == {}
+            assert result.output == oracle.output
+            assert result.makespan == oracle.makespan
+            assert lock_stats(result) == lock_stats(oracle)
+
+    def test_reparsed_unit_shares_the_code_object(self, code_table):
+        first, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
+        second, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
+        fns = [interp._codegen._units["KERN"]._fn for interp in
+               (first, second)]
+        # one code object, but each run binds it in its own namespace
+        assert fns[0] is not fns[1]
+        assert fns[0].__code__ is fns[1].__code__
+        assert fns[0].__globals__ is not fns[1].__globals__
+        assert len(code_table) == 1
+
+    def test_cost_scale_and_facts_get_their_own_entries(self, code_table):
+        plain, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
+        gated, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
+                                      facts=kern_facts())
+        scaled = Interpreter(parse_source(KERNEL_SOURCE), codegen="source",
+                             cost_scale=3)
+        drain(scaled.run_program())
+        sources = [interp.codegen_sources()["KERN"]
+                   for interp in (plain, gated, scaled)]
+        assert len(set(sources)) == 3 and len(code_table) == 3
+        assert gated.codegen_kernelized == {"KERN": [10]}
+        assert plain.output == gated.output == scaled.output
+
+    def test_table_is_bounded(self, code_table, compiled_sources,
+                              monkeypatch):
+        monkeypatch.setattr(codegen, "_MAX_CODE_OBJECTS", 1)
+        plain, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
+        gated, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
+                                      facts=kern_facts())
+        again, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
+                                      facts=kern_facts())
+        assert len(code_table) == 1
+        # the entry past the bound is compiled on every use, and still
+        # runs exactly as the stored one would
+        assert len(compiled_sources) == 3
+        assert gated.output == again.output == plain.output
+        assert again.codegen_kernelized == {"KERN": [10]}
 
 
 class TestProvenanceComments:

@@ -5,6 +5,10 @@ validated engine per machine-dependent definition set.  These tests pin
 that no translation can see another's writes, that a cold table is
 filled once under concurrency, and that a clone starts from exactly the
 state a freshly loaded engine would have.
+
+``force_translate`` keeps its own table of finished expansions in front
+of this one; every test here runs with that table empty and unfillable,
+so each translation really reaches ``build_processor``.
 """
 
 import os
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.pipeline.compile as pipeline_compile
 from repro.core import HEP, MACHINES, SEQUENT_BALANCE, programs
 from repro.m4 import M4Processor
 from repro.macros import build_processor, loader
@@ -36,6 +41,13 @@ def _fresh(machine) -> M4Processor:
     """The engine build_processor would return with no table at all."""
     return loader._load_library(machine, loader.machdep_definitions(machine),
                                 loader.machindep_definitions())
+
+
+@pytest.fixture(autouse=True)
+def no_expansions(monkeypatch):
+    """An empty expansion table that keeps nothing, restored after."""
+    monkeypatch.setattr(pipeline_compile, "_EXPANSIONS", {})
+    monkeypatch.setattr(pipeline_compile, "_MAX_EXPANSIONS", 0)
 
 
 @pytest.fixture()

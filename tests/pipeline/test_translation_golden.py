@@ -4,7 +4,10 @@ Pins the sha256 of ``force_translate(...).fortran`` for every sample
 program on every machine under every selfsched dispatch policy, plus the
 shipped ``examples/*.frc`` on the Sequent Balance.  A front-end change
 (sed stage, m4 engine, macro library, snapshot cache) that alters a
-single byte of generated Fortran fails here with the case named.
+single byte of generated Fortran fails here with the case named.  Each
+case is translated twice, on an empty expansion table and then from the
+entry the first translation left, so a stale or mis-keyed entry fails
+here too.
 
 Regenerate only when a translation change is intended::
 
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.pipeline.compile as pipeline_compile
 from repro.core import MACHINES, SEQUENT_BALANCE, programs
 from repro.m4 import MacroError
 from repro.pipeline import force_translate
@@ -73,8 +77,10 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_translation_is_byte_identical(golden, case):
-    assert _digest(*CASES[case]) == golden[case]
+def test_translation_is_byte_identical(golden, case, monkeypatch):
+    monkeypatch.setattr(pipeline_compile, "_EXPANSIONS", {})
+    assert _digest(*CASES[case]) == golden[case]   # cold
+    assert _digest(*CASES[case]) == golden[case]   # warm
 
 
 if __name__ == "__main__":
