@@ -1,4 +1,5 @@
-"""Machine-readable analysis facts (``force check --facts FILE``).
+"""Machine-readable analysis facts (``force check --facts FILE``, and
+computed in-process by ``force run`` through :func:`source_facts`).
 
 The race engine's verdicts are useful beyond diagnostics: the
 compiled layer can only lower a DOALL body to an array kernel when
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.construct_parser import iter_constructs
+from repro.analysis.construct_parser import iter_constructs, parse_program
 from repro.analysis.races import RaceReport, detect
-from repro.analysis.summaries import ProgramSummary
+from repro.analysis.summaries import ProgramSummary, summarize
 
 FACTS_VERSION = 1
 
@@ -94,6 +95,25 @@ def build_facts(per_file: list[tuple[str, ProgramSummary]]) -> dict:
         "git_revision": git_revision(warn=False),
         "files": [build_file_facts(filename, summary)
                   for filename, summary in per_file],
+    }
+
+
+def source_facts(source: str, filename: str = "<source>") -> dict:
+    """The facts document for one Force source, built in-process.
+
+    This is what ``force run`` gates kernels with when no ``--facts``
+    file is given: race verdicts only, without the diagnostic checkers
+    and without a git stamp (the verdicts are computed from the very
+    source being run, so they cannot be stale).  A source with no
+    Force routine yields ``{}``, which proves nothing.
+    """
+    program = parse_program(source, filename)
+    if not program.routines:
+        return {}
+    return {
+        "version": FACTS_VERSION,
+        "generator": "force run",
+        "files": [build_file_facts(filename, summarize(program))],
     }
 
 

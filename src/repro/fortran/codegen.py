@@ -21,14 +21,16 @@ once with :func:`compile`.  Three things make it fast:
   tree-walker's.
 
 * **Facts-gated DOALL vectorization.**  A DO loop whose terminal label
-  the ``force check --facts`` document proved race-free
-  (``kernel_eligible``) and whose body is a run of affine 1-D REAL
-  array assignments is lowered to numpy slice kernels guarded by a
-  runtime check (float storage, in-bounds, non-aliasing, integer
-  bounds, empty do-stack).  The kernel emits one aggregate cost event
-  carrying the *exact* cycle and statement count the tree walker would
-  have produced for the whole loop; if the guard fails the loop runs
-  on the generic path emitted right below it.
+  the analysis facts proved race-free (``kernel_eligible``) and whose
+  body is a run of affine 1-D REAL array assignments is lowered to
+  numpy slice kernels guarded by a runtime check (float storage,
+  in-bounds, non-aliasing, integer bounds, empty do-stack).  After the
+  numpy compute the kernel replays the generic loop's cost events —
+  the first iteration's flush, then one repeated
+  :class:`~repro.fortran.interp.Cost` for the rest — so the scheduler
+  interleaves processes exactly as it would for the generic loop; if
+  the guard fails the loop runs on the generic path emitted right
+  below it.
 
 Artifacts are cached per ``(unit, facts_digest, cost_scale)`` — the
 facts digest in the key is what invalidates ``kernel_eligible``
@@ -551,11 +553,11 @@ class _Artifact:
     """One compiled emission of a unit (or a recorded failure)."""
 
     __slots__ = ("facts_key", "cost_scale", "consults", "fn", "source",
-                 "slot_names", "kernel_labels", "error")
+                 "slot_names", "kernel_labels", "kernel_refused", "error")
 
     def __init__(self, facts_key, cost_scale, consults, *,
                  fn=None, source="", slot_names=(), kernel_labels=(),
-                 error=None):
+                 kernel_refused=None, error=None):
         self.facts_key = facts_key
         self.cost_scale = cost_scale
         self.consults = consults
@@ -563,6 +565,8 @@ class _Artifact:
         self.source = source
         self.slot_names = slot_names
         self.kernel_labels = kernel_labels
+        #: label -> why an eligible loop was left on the generic path
+        self.kernel_refused = kernel_refused or {}
         self.error = error
 
 
@@ -623,6 +627,8 @@ class CodegenProgram:
         self.kernel_eligible: dict[str, list[int]] = {}
         #: unit name -> labels actually lowered to numpy kernels
         self.kernelized: dict[str, list[int]] = {}
+        #: unit name -> {label: reason} of eligible loops not lowered
+        self.kernel_refused: dict[str, dict[int, str]] = {}
         #: unit name -> generated Python source (provenance-annotated)
         self.sources: dict[str, str] = {}
 
@@ -641,6 +647,8 @@ class CodegenProgram:
             self.sources[name] = artifact.source
             if artifact.kernel_labels:
                 self.kernelized[name] = list(artifact.kernel_labels)
+            if artifact.kernel_refused:
+                self.kernel_refused[name] = dict(artifact.kernel_refused)
         self._units[name] = generated
         if generated is not None:
             proven = self.eligible.get(name.upper())
@@ -673,7 +681,8 @@ class CodegenProgram:
                 self.facts_key, scale, tuple(sorted(set(emitter.consults))),
                 fn=namespace["_gen"], source=source,
                 slot_names=tuple(emitter.slot_names),
-                kernel_labels=tuple(emitter.kernel_labels))
+                kernel_labels=tuple(emitter.kernel_labels),
+                kernel_refused=emitter.kernel_refused)
         except CodegenUnsupported as exc:
             artifact = _Artifact(
                 self.facts_key, scale, tuple(sorted(set(emitter.consults))),
@@ -770,6 +779,7 @@ class _EmitterBase:
         self.eligible_labels = eligible_labels
         self.consults: list[tuple[str, str, bool]] = []
         self.kernel_labels: list[int] = []
+        self.kernel_refused: dict[int, str] = {}
 
         # name classification (same rules as the closure tier)
         self._params = set(unit.params)
@@ -1535,7 +1545,8 @@ class _Emitter(_EmitterBase):
             return
         try:
             plan = self._kernel_plan(stmt)
-        except _KernelRefused:
+        except _KernelRefused as exc:
+            self.kernel_refused[stmt.term_label] = str(exc)
             return
         self.kernel_labels.append(stmt.term_label)
         self._emit_kernel(stmt, i, plan)
@@ -1547,6 +1558,12 @@ class _Emitter(_EmitterBase):
             if 0 <= stmt.terminal < len(statements) else None
         if not isinstance(terminal, (ast.Continue, ast.EndDo)):
             raise _KernelRefused("terminal not CONTINUE/END DO")
+        # the kernel jumps past the terminal, skipping the advance of
+        # any enclosing loop that ends on the same statement
+        if any(other.__class__ is ast.Do and other is not stmt
+               and other.terminal == stmt.terminal
+               for other in statements):
+            raise _KernelRefused("terminal shared with another DO")
         dovar = stmt.var
         if self._kind(dovar) is not _CELL \
                 or self._ftype(dovar) is not _INT:
@@ -1764,8 +1781,17 @@ class _Emitter(_EmitterBase):
             self.w(f"{temp}[...] = {rhs}")
         vslot = self._slot(stmt.var)
         self.w(f"_dofin(_sl[{vslot}], {kf} + {tr} * {ks})")
-        self.w(f"_p += {tr} * {plan['w_it']}")
-        self.w(f"_n += {tr} * {plan['n_it']}")
+        # Replay the generic loop's event stream: its first terminal
+        # flush carries the pending pre-loop cost, then one event per
+        # remaining iteration (a repeated Cost).  Equal events keep
+        # the scheduler's interleaving, hence makespan and lock order,
+        # identical to the oracle's.
+        w_it, n_it = plan["w_it"], plan["n_it"]
+        self.w(f"yield _C(_p + {w_it}, _n + {n_it})")
+        self.w(f"if {tr} > 1:")
+        self.w(f"    yield _C({w_it}, {n_it}, {tr} - 1)")
+        self.w("_p = 0")
+        self.w("_n = 0")
         self.w(f"pc = {stmt.terminal + 1}")
         self.w("via = False")
         self.w("continue")

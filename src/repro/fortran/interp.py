@@ -37,7 +37,7 @@ from repro.fortran.values import (
 # ----------------------------------------------------------------------
 # events
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Cost:
     """Charge ``cycles`` of simulated time to the executing process.
 
@@ -48,9 +48,20 @@ class Cost:
     aggregate events carrying the exact statement count the tree
     walker would have produced.  Clock accounting only reads
     ``cycles``; ``statements`` feeds throughput benchmarks.
+
+    ``repeat`` stands for that many identical events in a row (a
+    kernelized DOALL replays its per-iteration events this way); the
+    scheduler applies them one step at a time, so the interleaving is
+    exactly that of ``repeat`` separate yields.
+
+    Not frozen, because generated code builds one per flush and a
+    frozen ``__init__`` costs a ``object.__setattr__`` call per field;
+    instances are shared (prebuilt per statement by the closure tier),
+    so treat them as immutable.
     """
     cycles: int
     statements: int = 1
+    repeat: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,6 +315,21 @@ class StopSignal(Exception):
 # ----------------------------------------------------------------------
 # the interpreter
 # ----------------------------------------------------------------------
+def execution_tier(compiled: bool = True, codegen: str | None = None) -> str:
+    """The tier an :class:`Interpreter` built with these arguments runs
+    on: ``codegen`` (default ``REPRO_CODEGEN`` or ``"source"``), or
+    ``"interp"`` when ``compiled`` is false or ``REPRO_NO_JIT`` is set."""
+    tier = codegen if codegen is not None \
+        else os.environ.get("REPRO_CODEGEN") or "source"
+    if tier not in ("source", "closure", "interp"):
+        raise FortranError(
+            f"unknown codegen tier {tier!r} "
+            "(expected source, closure or interp)")
+    if not compiled or os.environ.get("REPRO_NO_JIT"):
+        return "interp"
+    return tier
+
+
 class Interpreter:
     """Executes parsed program units as event generators."""
 
@@ -334,15 +360,7 @@ class Interpreter:
         # "closure" (repro.fortran.compile), or "interp" (tree-walk).
         self.compiled_enabled = compiled and not os.environ.get(
             "REPRO_NO_JIT")
-        tier = codegen if codegen is not None \
-            else os.environ.get("REPRO_CODEGEN") or "source"
-        if tier not in ("source", "closure", "interp"):
-            raise FortranError(
-                f"unknown codegen tier {tier!r} "
-                "(expected source, closure or interp)")
-        if not self.compiled_enabled:
-            tier = "interp"
-        self.codegen_tier = tier
+        self.codegen_tier = execution_tier(compiled, codegen)
         self._compiled = None
         self._codegen = None
 
@@ -430,6 +448,13 @@ class Interpreter:
         :attr:`kernel_eligible`; empty off the source tier)."""
         return {} if self._codegen is None \
             else dict(self._codegen.kernelized)
+
+    @property
+    def codegen_kernel_refused(self) -> dict[str, dict[int, str]]:
+        """Unit name -> {label: reason} for kernel-eligible DOALLs the
+        source-codegen tier left on the generic loop path."""
+        return {} if self._codegen is None \
+            else dict(self._codegen.kernel_refused)
 
     def codegen_sources(self) -> dict[str, str]:
         """Unit name -> generated Python source (source tier only;
@@ -1030,7 +1055,7 @@ def drain(gen: Iterator, *, max_events: int = 50_000_000):
     halt = None
     for i, event in enumerate(gen):
         if isinstance(event, Cost):
-            total += event.cycles
+            total += event.cycles * event.repeat
         elif isinstance(event, Halt):
             halt = event
         else:

@@ -262,8 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "DOALL; default: no degradation)")
     run.add_argument("--facts", metavar="FILE", default=None,
                      help="analysis facts written by 'force check "
-                          "--facts'; DOALLs it proves race-free are "
-                          "marked kernel-eligible in the compiled layer "
+                          "--facts', used instead of the facts the "
+                          "source tier computes in-process; DOALLs it "
+                          "proves race-free are marked kernel-eligible "
                           "(and lowered to numpy kernels on the source "
                           "tier); stale-revision facts are refused")
     run.add_argument("--codegen",
@@ -627,9 +628,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 document["supervision"] = result.supervision
         else:
             document["makespan"] = result.makespan
-            if facts is not None:
-                document["kernel_eligible"] = result.kernel_eligible
-                document["kernelized_doalls"] = result.kernelized_doalls
+            document["kernel_eligible"] = result.kernel_eligible
+            document["kernelized_doalls"] = result.kernelized_doalls
+            document["kernel_refused"] = result.kernel_refused
         if args.stats:
             document["stats"] = result.stats_dict()
         if trace_file is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro._util.errors import ForceError
@@ -12,6 +13,7 @@ from repro.fortran.interp import (
     Interpreter,
     StopSignal,
     drain,
+    execution_tier,
 )
 from repro.fortran.parser import parse_source
 from repro.machines.memory import MemoryLayout, SharedRegionPlan, VariableSpec
@@ -44,11 +46,16 @@ class RunResult:
     #: (unit name → reason); empty when everything ran compiled
     compile_fallbacks: dict[str, str] = field(default_factory=dict)
     #: unit name → labels of DO loops the analysis facts proved
-    #: race-free (kernel-lowering candidates); empty without ``facts``
+    #: race-free (kernel-lowering candidates)
     kernel_eligible: dict[str, list[int]] = field(default_factory=dict)
     #: unit name → labels of DOALLs the source-codegen tier actually
     #: lowered to numpy slice kernels (subset of ``kernel_eligible``)
     kernelized_doalls: dict[str, list[int]] = field(default_factory=dict)
+    #: unit name → {label: reason} for the eligible loops the
+    #: source-codegen tier refused to lower (the kernel recognizer's
+    #: verdict, e.g. "body not a run of assignments")
+    kernel_refused: dict[str, dict[int, str]] = \
+        field(default_factory=dict)
     #: unit name → generated Python source (source tier only), for
     #: ``force run --dump-codegen``
     codegen_sources: dict[str, str] = field(default_factory=dict)
@@ -110,6 +117,35 @@ class _StartupCollector(ExternalCallHandler):
         yield from ()
 
 
+#: sha256 of a Force source -> its in-process facts document.  The
+#: analysis reads only the source, so one entry serves every machine
+#: and dispatch policy.  Filled without a lock: a racing fill analyses
+#: the same source twice.
+_FACTS: dict[bytes, dict] = {}
+#: Past this many entries new documents are built but not kept.
+_MAX_FACTS = 512
+
+
+def program_facts(force_source: str) -> dict:
+    """Race verdicts for ``force_source``, computed once per process.
+
+    A source the analysis cannot handle gets ``{}`` (prove nothing):
+    kernels are an optimisation, so a run that works without them must
+    not fail because of them.
+    """
+    key = hashlib.sha256(force_source.encode()).digest()
+    doc = _FACTS.get(key)
+    if doc is None:
+        try:
+            from repro.analysis.facts import source_facts
+            doc = source_facts(force_source)
+        except Exception:
+            doc = {}
+        if len(_FACTS) < _MAX_FACTS:
+            _FACTS[key] = doc
+    return doc
+
+
 def force_run(translation: TranslationResult, nproc: int, *,
               max_events: int = 20_000_000,
               trace: bool = False,
@@ -129,19 +165,26 @@ def force_run(translation: TranslationResult, nproc: int, *,
     :class:`~repro._util.errors.SimDeadlockError` instead of churning
     forever on a livelocked program.  ``compiled=False`` forces the
     tree-walking interpreter (the ``--no-jit`` differential oracle).
-    ``facts`` is a ``force check --facts`` document; the compiled layer
-    uses it to mark statically race-free DOALLs as kernel candidates
+    ``facts`` is an analysis facts document; the compiled layer uses
+    it to mark statically race-free DOALLs as kernel candidates
     (reported in :attr:`RunResult.kernel_eligible`) and — on the
     source-codegen tier — to lower them to numpy slice kernels
-    (reported in :attr:`RunResult.kernelized_doalls`).  ``codegen``
-    picks the execution tier (``"source"``/``"closure"``/``"interp"``,
-    default ``"source"``).
+    (reported in :attr:`RunResult.kernelized_doalls`, refusals in
+    :attr:`RunResult.kernel_refused`).  On that tier ``facts=None``
+    means the facts of ``translation.force_source``, computed
+    in-process (:func:`program_facts`); ``facts={}`` proves nothing.
+    Kernels replay the generic loop's cost events, so output,
+    makespan and lock statistics equal the tree walker's.
+    ``codegen`` picks the execution tier
+    (``"source"``/``"closure"``/``"interp"``, default ``"source"``).
     """
     machine = translation.machine
     if nproc <= 0:
         raise ForceError("nproc must be positive")
     if processors is None and not unlimited_processors:
         processors = machine.processors
+    if facts is None and execution_tier(compiled, codegen) == "source":
+        facts = program_facts(translation.force_source)
     program = parse_source(translation.fortran)
     registry = SharingRegistry()
 
@@ -211,6 +254,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
         compile_fallbacks=interp.compile_fallbacks,
         kernel_eligible=interp.kernel_eligible,
         kernelized_doalls=interp.codegen_kernelized,
+        kernel_refused=interp.codegen_kernel_refused,
         codegen_sources=interp.codegen_sources(),
     )
 

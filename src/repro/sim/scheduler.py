@@ -2,8 +2,8 @@
 
 A conservative event loop: always resume the process with the smallest
 clock, so every shared-memory interaction resolves in deterministic
-simulated-time order (ties broken by pid).  Lock waits cost what the
-machine's lock type says they cost (§4.1.3):
+simulated-time order (ties broken by push order).  Lock waits cost
+what the machine's lock type says they cost (§4.1.3):
 
 * **spin** — the waiting CPU burns cycles until the release;
 * **syscall** — the OS parks the process (syscall overhead at block
@@ -49,7 +49,7 @@ class SimProcess:
 
     __slots__ = ("pid", "name", "gen", "clock", "state", "block_start",
                  "blocked_on", "on_exit", "busy_cycles", "on_cpu",
-                 "ever_scheduled")
+                 "ever_scheduled", "pending")
 
     def __init__(self, pid: int, name: str, gen: Iterator) -> None:
         self.pid = pid
@@ -63,6 +63,8 @@ class SimProcess:
         self.busy_cycles = 0
         self.on_cpu = False
         self.ever_scheduled = False
+        #: (one step, steps left) of a repeated Cost being applied
+        self.pending: tuple[Cost, int] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SimProcess {self.name} t={self.clock} "
@@ -232,11 +234,18 @@ class Scheduler:
                 raise SimulationError(
                     f"simulation exceeded {self.max_events} events "
                     "(livelock or runaway program?)")
-            try:
-                event = next(proc.gen)
-            except StopIteration:
-                self._finish(proc)
-                continue
+            pending = proc.pending
+            if pending is not None:
+                # one more step of a repeated Cost, without resuming
+                # the process's generator
+                event, left = pending
+                proc.pending = (event, left - 1) if left > 1 else None
+            else:
+                try:
+                    event = next(proc.gen)
+                except StopIteration:
+                    self._finish(proc)
+                    continue
             self._dispatch(proc, event)
         self.stats.events = events
         if not self._halted:
@@ -264,6 +273,11 @@ class Scheduler:
             proc.clock += event.cycles
             proc.busy_cycles += event.cycles
             self.stats.statements += event.statements
+            if event.repeat > 1:
+                # later pops apply the other steps, each as one event
+                # with its own heap sequence number
+                proc.pending = (Cost(event.cycles, event.statements),
+                                event.repeat - 1)
             self._push(proc)
         elif type(event) is AcquireLock:
             self._acquire(proc, event.lock)

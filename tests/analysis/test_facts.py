@@ -98,11 +98,17 @@ class TestKernelEligibilityGate:
                                       get_machine("sequent-balance"))
         gated = force_run(translation, 4, facts=facts)
         assert gated.kernel_eligible == {"JACOBI": [10, 20]}
-        plain = force_run(translation, 4)
+        plain = force_run(translation, 4, facts={})
         assert plain.kernel_eligible == {}
         # the gate must not perturb execution
         assert gated.output == plain.output
         assert gated.makespan == plain.makespan
+        # without a document the run computes the same facts itself
+        default = force_run(translation, 4)
+        assert default.kernel_eligible == gated.kernel_eligible
+        assert default.kernelized_doalls == gated.kernelized_doalls
+        assert default.output == gated.output
+        assert default.makespan == gated.makespan
 
 
 class TestCliFlags:

@@ -39,14 +39,17 @@ def kern_facts(race_free=True):
 
 
 def run_source_tier(program, facts=None):
-    """Run on the codegen tier; return (interp, statements, cost_events)."""
+    """Run on the codegen tier; return (interp, statements, cost_events).
+
+    A repeated ``Cost`` counts as ``repeat`` events, as the scheduler
+    applies it."""
     interp = Interpreter(program, codegen="source", facts=facts)
     statements = 0
     events = 0
     for event in interp.run_program():
         if isinstance(event, Cost):
-            statements += event.statements
-            events += 1
+            statements += event.statements * event.repeat
+            events += event.repeat
     return interp, statements, events
 
 
@@ -75,10 +78,10 @@ class TestArtifactCacheKeyedOnFacts:
         gated, gated_stmts, gated_events = run_source_tier(
             program, facts=kern_facts())
         assert gated.codegen_kernelized == {"KERN": [10]}
-        # identical semantics, different artifact: statement totals
-        # agree while the kernelized run batches into fewer events
+        # identical semantics, different artifact: the kernel replays
+        # the generic loop's cost events, so both totals agree
         assert gated_stmts == plain_stmts
-        assert gated_events < plain_events
+        assert gated_events == plain_events
         assert plain.output == gated.output
 
     def test_same_facts_digest_reuses_artifact(self):
@@ -184,6 +187,87 @@ class TestCodeObjectTable:
         assert len(compiled_sources) == 3
         assert gated.output == again.output == plain.output
         assert again.codegen_kernelized == {"KERN": [10]}
+
+
+SHARED_TERMINAL_SOURCE = strip_margin("""\
+      PROGRAM KERN
+      REAL U(10), V(10)
+      INTEGER I, J
+      DO 5 I = 1, 10
+      U(I) = I * 1.0
+5     CONTINUE
+      DO 10 J = 1, 3
+      DO 10 I = 2, 9
+      V(I) = U(I) * 2.0 + J
+10    CONTINUE
+      WRITE(*,*) V(5), J, I
+      END
+""")
+
+
+class TestKernelsMatchTheOracle:
+    """A kernel once yielded one aggregate cost for the whole loop;
+    the scheduler breaks clock ties by push order, so another process
+    won a tie and locks were taken in a different order.  Kernels now
+    replay the generic loop's events."""
+
+    @pytest.mark.parametrize("machine, nproc, n, makespan", [
+        ("sequent-balance", 3, 24, 62455),
+        ("hep", 4, 16, 9603),
+    ])
+    def test_jacobi_matches_the_oracle(self, machine, nproc, n,
+                                       makespan):
+        from repro.core import programs
+        from repro.machines import get_machine
+        from repro.pipeline import force_translate
+        from repro.pipeline.run import force_run
+        translation = force_translate(programs.render("jacobi", n=n),
+                                      get_machine(machine))
+        oracle = force_run(translation, nproc, codegen="interp")
+        assert oracle.makespan == makespan
+        default = force_run(translation, nproc)
+        plain = force_run(translation, nproc, facts={})
+        assert default.kernelized_doalls == {"JACOBI": [10, 20]}
+        assert plain.kernelized_doalls == {}
+        for result in (default, plain):
+            assert result.output == oracle.output
+            assert result.makespan == oracle.makespan
+            assert lock_stats(result) == lock_stats(oracle)
+            assert result.stats.per_process_clock == \
+                oracle.stats.per_process_clock
+        assert default.stats.events == plain.stats.events
+        assert default.stats.statements == plain.stats.statements
+
+    def test_loop_sharing_its_terminal_is_refused(self):
+        # the kernel would jump past the shared terminal and skip the
+        # enclosing loop's advance
+        interp, statements, events = run_source_tier(
+            parse_source(SHARED_TERMINAL_SOURCE), facts=kern_facts())
+        assert interp.codegen_kernelized == {}
+        assert interp.codegen_kernel_refused == \
+            {"KERN": {10: "terminal shared with another DO"}}
+        oracle = Interpreter(parse_source(SHARED_TERMINAL_SOURCE),
+                             codegen="interp")
+        oracle_events = list(oracle.run_program())
+        assert interp.output == oracle.output == ["13.0 4 10"]
+        # the tree walker yields one event per statement
+        assert statements == len(oracle_events)
+        _, _, plain_events = run_source_tier(
+            parse_source(SHARED_TERMINAL_SOURCE))
+        assert events == plain_events
+
+    def test_kernel_replays_one_event_per_iteration(self):
+        interp, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
+                                       facts=kern_facts())
+        assert interp.codegen_kernelized == {"KERN": [10]}
+        events = [event for event in
+                  Interpreter(parse_source(KERNEL_SOURCE),
+                              codegen="source",
+                              facts=kern_facts()).run_program()
+                  if isinstance(event, Cost)]
+        repeated = [event for event in events if event.repeat > 1]
+        # DO 10 I = 2, 9: the first of 8 trips is its own event
+        assert [(e.statements, e.repeat) for e in repeated] == [(2, 7)]
 
 
 class TestProvenanceComments:

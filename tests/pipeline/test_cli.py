@@ -212,6 +212,18 @@ class TestJsonRunFormat:
         assert "stats" not in doc
         assert doc["output"] == ["TOTAL 40"]
 
+    def test_kernels_reported_without_facts_file(self, capsys):
+        import json
+        from pathlib import Path
+
+        jacobi = Path(__file__).resolve().parents[2] / "examples" \
+            / "jacobi.frc"
+        assert main(["run", str(jacobi), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kernel_eligible"] == doc["kernelized_doalls"] \
+            == {"JACOBI": [10, 20]}
+        assert doc["kernel_refused"] == {}
+
     def test_trace_file_referenced_in_document(self, source_file,
                                                tmp_path, capsys):
         import json

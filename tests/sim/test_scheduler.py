@@ -114,6 +114,60 @@ class TestBasics:
             sched.run()
 
 
+class TestRepeatedCost:
+    """``Cost(..., repeat=k)`` must schedule exactly like ``k`` yields."""
+
+    @staticmethod
+    def _race(repeated):
+        sched = make_scheduler(trace=True)
+        lock = sched.new_lock("L")
+        log = []
+
+        def sweeper():
+            if repeated:
+                yield Cost(10, 2, 3)
+            else:
+                for _ in range(3):
+                    yield Cost(10, 2)
+            yield AcquireLock(lock)
+            log.append("sweeper")
+            yield Cost(5)
+            yield ReleaseLock(lock)
+
+        def rival():
+            yield Cost(30)
+            yield AcquireLock(lock)
+            log.append("rival")
+            yield Cost(5)
+            yield ReleaseLock(lock)
+
+        sched.spawn(sweeper(), name="sweeper")
+        sched.spawn(rival(), name="rival")
+        stats = sched.run()
+        return stats, log, sched.trace
+
+    def test_interleaving_matches_separate_yields(self):
+        stats, log, trace = self._race(repeated=True)
+        expected_stats, expected_log, expected_trace = \
+            self._race(repeated=False)
+        # both reach the lock at clock 30: the rival pushed first, as
+        # it would against three separate yields
+        assert log == expected_log == ["rival", "sweeper"]
+        assert trace == expected_trace
+        assert stats == expected_stats
+        assert stats.statements == 3 * 2 + 3
+
+    def test_every_step_counts_as_an_event(self):
+        sched = make_scheduler(max_events=10)
+
+        def work():
+            yield Cost(1, 1, 20)
+
+        sched.spawn(work())
+        with pytest.raises(SimulationError):
+            sched.run()
+
+
 class TestLocks:
     def test_uncontended_acquire_release(self):
         sched = make_scheduler()
