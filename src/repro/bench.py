@@ -3,9 +3,11 @@
 Three benchmarks establish the perf baseline the paper's claims hinge
 on, and every future change is compared against:
 
-* **jacobi_throughput** — raw Fortran statement throughput of the
-  tree-walking interpreter vs the compiled execution layer on a Jacobi
-  relaxation kernel (the hot path E5/E6 measurements sit on);
+* **codegen_throughput** — a micro-kernel: raw Fortran statement
+  throughput of the tree-walking interpreter vs source codegen on a
+  Jacobi relaxation kernel (the hot path E5/E6 measurements sit on),
+  labelled ``"kind": "micro-kernel"`` so it is never quoted as the
+  system's speed;
 * **selfsched_dispatch** — native-runtime selfscheduled-DOALL lock
   traffic under the ``self``/``chunked``/``guided`` policies (one lock
   round per chunk, so ``chunks == ceil(iters/chunk)``);
@@ -15,9 +17,9 @@ on, and every future change is compared against:
 Results merge into ``BENCH_results.json`` (same schema the experiment
 benchmarks use via ``benchmarks/conftest.py``), each entry stamped
 with the current git revision so the trajectory is attributable across
-PRs.  The suite also acts as a gate: it translates and runs the whole
-example corpus and reports any program unit the compiled layer had to
-fall back to the tree-walker on.
+PRs.  The suite also acts as a gate: the codegen entry translates and
+runs the whole example corpus and reports any program unit source
+codegen had to fall back to the tree-walker on.
 """
 
 from __future__ import annotations
@@ -164,17 +166,16 @@ def _run_kernel(source: str, tier: str,
                 facts: dict[str, Any] | None = None) -> dict[str, Any]:
     """Warm steady-state measurement of one execution tier.
 
-    The first (untimed) run pays one-time costs — source generation,
-    ``compile()``, closure building — so the timed second run measures
-    what a long simulation's hot loop actually sees.  The cold wall
-    time is recorded separately for transparency.
+    The first (untimed) run pays one-time costs — source generation
+    and ``compile()`` — so the timed second run measures what a long
+    simulation's hot loop actually sees.  The cold wall time is
+    recorded separately for transparency.
     """
     from repro.fortran.interp import Interpreter
     from repro.fortran.parser import parse_source
     program = parse_source(source)
     lines: list[str] = []
-    interp = Interpreter(program, compiled=tier != "interp",
-                         codegen=tier, facts=facts,
+    interp = Interpreter(program, codegen=tier, facts=facts,
                          on_output=lambda text, frame: lines.append(text))
     unit = program.unit("JACOBI")
     start = time.perf_counter()
@@ -209,63 +210,24 @@ def _assert_tiers_agree(runs: dict[str, dict[str, Any]]) -> None:
                 f"{baseline['cycles']}/{baseline['output']!r}")
 
 
-def bench_jacobi_throughput(quick: bool) -> dict[str, Any]:
-    """Statement throughput: tree-walker vs the codegen tier.
-
-    The facts document proves the two inner sweeps race-free, so the
-    generated code lowers them to numpy slice kernels; the benchmark
-    asserts that actually happened (kernelized DOALLs > 0, no
-    fallbacks) — a silent fallback would record an honest but
-    uninteresting number and mask a regression.
-    """
-    sweeps = 80 if quick else 400
-    source = JACOBI_KERNEL.format(sweeps=sweeps)
-    tree = _run_kernel(source, "interp")
-    comp = _run_kernel(source, "source", facts=_jacobi_facts())
-    _assert_tiers_agree({"interp": tree, "source": comp})
-    if comp["fallbacks"]:
-        raise AssertionError(
-            f"codegen tier fell back on the Jacobi kernel: "
-            f"{comp['fallbacks']}")
-    kernelized = sum(len(labels)
-                     for labels in comp["kernelized"].values())
-    if not kernelized:
-        raise AssertionError(
-            "codegen tier lowered no Jacobi DOALLs to numpy kernels")
-    speedup = (tree["seconds"] / comp["seconds"]) \
-        if comp["seconds"] else float("inf")
-    return {
-        "params": {"sweeps": sweeps, "points": 66},
-        "wall_s": comp["seconds"],
-        "data": {
-            "statements": comp["statements"],
-            "tree_stmt_per_s": round(tree["statements"]
-                                     / tree["seconds"])
-            if tree["seconds"] else 0,
-            "compiled_stmt_per_s": round(comp["statements"]
-                                         / comp["seconds"])
-            if comp["seconds"] else 0,
-            "speedup": round(speedup, 2),
-            "kernelized_doalls": kernelized,
-            "codegen_cold_s": round(comp["cold_seconds"], 4),
-        },
-    }
-
-
 def bench_codegen_throughput(quick: bool) -> dict[str, Any]:
-    """Per-tier statement throughput (interp / closure / source).
+    """Micro-kernel: Jacobi statement throughput, interp vs source.
 
-    The CI perf-smoke gate reads this entry: it fails the build when
-    the source tier fell back on the Jacobi kernel or vectorized no
+    A micro-kernel figure, not the system's speed (``bench/`` measures
+    end to end).  The facts document proves the two inner sweeps
+    race-free, so the generated code lowers them to numpy slice
+    kernels.  Both tiers must agree on output and cost totals.  The
+    entry also runs the example corpus on the default tier and records
+    every unit that fell back to the tree walker in
+    ``corpus_fallbacks``; ``force bench`` exits 1 on any, and the CI
+    perf-smoke gate fails when the kernel fell back or vectorized no
     DOALLs, so a codegen regression cannot land silently.
     """
     sweeps = 80 if quick else 400
     source = JACOBI_KERNEL.format(sweeps=sweeps)
-    facts = _jacobi_facts()
-    runs = {tier: _run_kernel(
-                source, tier,
-                facts=facts if tier == "source" else None)
-            for tier in ("interp", "closure", "source")}
+    runs = {"interp": _run_kernel(source, "interp"),
+            "source": _run_kernel(source, "source",
+                                  facts=_jacobi_facts())}
     _assert_tiers_agree(runs)
     base_s = runs["interp"]["seconds"]
     tiers = {}
@@ -280,14 +242,17 @@ def bench_codegen_throughput(quick: bool) -> dict[str, Any]:
     kernelized = sum(len(labels)
                      for labels in runs["source"]["kernelized"].values())
     return {
-        "params": {"sweeps": sweeps, "points": 66},
+        "params": {"sweeps": sweeps, "points": 66,
+                   "corpus": "examples/*.frc"},
         "wall_s": runs["source"]["seconds"],
         "data": {
+            "kind": "micro-kernel",
             "tiers": tiers,
             "statements": runs["source"]["statements"],
             "kernelized_doalls": kernelized,
             "codegen_fell_back": bool(runs["source"]["fallbacks"]),
             "fallbacks": runs["source"]["fallbacks"],
+            "corpus_fallbacks": corpus_fallbacks(),
         },
     }
 
@@ -454,7 +419,7 @@ def bench_analyzer_throughput(quick: bool) -> dict[str, Any]:
     interprocedural summary → race/lock passes) over every example
     program, times repeated analyses of the largest one, and records
     how many corpus DOALLs the facts document proves race-free — the
-    count the compiled layer's kernel-eligibility gate consumes.
+    count source codegen's kernel-eligibility gate consumes.
     """
     from repro.analysis import analyze_source
     from repro.analysis.facts import build_facts, validate_facts
@@ -718,9 +683,9 @@ def bench_tune_quality(quick: bool) -> dict[str, Any]:
     }
 
 
-def compiled_corpus_fallbacks() -> dict[str, dict[str, str]]:
+def corpus_fallbacks() -> dict[str, dict[str, str]]:
     """Translate + run every runnable example; report any program unit
-    the compiled layer refused (empty dict == full coverage)."""
+    source codegen refused (empty dict == full coverage)."""
     from repro.machines import get_machine
     from repro.pipeline.compile import force_translate
     from repro.pipeline.run import force_run
@@ -746,7 +711,6 @@ def _example(name: str) -> str:
 
 
 SUITE: tuple[tuple[str, Callable[[bool], dict[str, Any]]], ...] = (
-    ("bench_jacobi_throughput", bench_jacobi_throughput),
     ("bench_codegen_throughput", bench_codegen_throughput),
     ("bench_selfsched_dispatch", bench_selfsched_dispatch),
     ("bench_sum_critical_sim", bench_sum_critical_sim),
@@ -770,11 +734,9 @@ def run_bench_suite(*, quick: bool = False,
                                   wall_s=outcome["wall_s"],
                                   data=outcome["data"],
                                   revision=revision))
-    fallbacks = compiled_corpus_fallbacks()
-    entries.append(make_entry("bench_compiled_coverage",
-                              params={"corpus": "examples/*.frc"},
-                              data={"fallbacks": fallbacks},
-                              revision=revision))
+    fallbacks = next(entry["data"]["corpus_fallbacks"]
+                     for entry in entries
+                     if entry["name"] == "bench_codegen_throughput")
     if output is None:
         output = Path.cwd() / "BENCH_results.json"
     merge_results(output, entries)
@@ -793,25 +755,19 @@ def render_bench_report(report: dict[str, Any]) -> str:
              f"rev {report['git_revision'] or 'unknown'}) "
              f"-> {report['output']}"]
     by_name = {entry["name"]: entry for entry in report["results"]}
-    jac = by_name["bench_jacobi_throughput"]["data"]
+    cg = by_name["bench_codegen_throughput"]["data"]
+    tiers = cg["tiers"]
+    corpus = cg["corpus_fallbacks"]
     lines.append(
-        f"jacobi throughput:   {jac['tree_stmt_per_s']:>9d} stmt/s tree, "
-        f"{jac['compiled_stmt_per_s']:>9d} stmt/s compiled "
-        f"({jac['speedup']:.2f}x, "
-        f"{jac.get('kernelized_doalls', 0)} DOALL(s) vectorized)")
-    cg = by_name.get("bench_codegen_throughput")
-    if cg is not None:
-        tiers = cg["data"]["tiers"]
-        lines.append(
-            "codegen tiers:       "
-            f"interp {tiers['interp']['stmt_per_s']} stmt/s, "
-            f"closure {tiers['closure']['stmt_per_s']} "
-            f"({tiers['closure']['speedup_vs_interp']:.1f}x), "
-            f"source {tiers['source']['stmt_per_s']} "
-            f"({tiers['source']['speedup_vs_interp']:.1f}x), "
-            f"{cg['data']['kernelized_doalls']} kernel(s)"
-            + (" [FELL BACK]" if cg["data"]["codegen_fell_back"]
-               else ""))
+        "codegen micro-kernel: jacobi "
+        f"interp {tiers['interp']['stmt_per_s']} stmt/s, "
+        f"source {tiers['source']['stmt_per_s']} "
+        f"({tiers['source']['speedup_vs_interp']:.1f}x), "
+        f"{cg['kernelized_doalls']} DOALL(s) vectorized"
+        + (" [FELL BACK]" if cg["codegen_fell_back"] else "")
+        + "; corpus "
+        + ("FALLBACKS " + json.dumps(corpus) if corpus
+           else "ran with no tree-walker fallbacks"))
     sched = by_name["bench_selfsched_dispatch"]["data"]
     pol = sched["policies"]
     lines.append(
@@ -860,10 +816,4 @@ def render_bench_report(report: dict[str, Any]) -> str:
         f"measured best {tune['measured_best']} "
         f"({'agree' if tune['agreement'] else 'DISAGREE'}, regret "
         f"{tune['regret']:.2f}x)")
-    if report["fallbacks"]:
-        lines.append("compiled coverage:   FALLBACKS "
-                     + json.dumps(report["fallbacks"]))
-    else:
-        lines.append("compiled coverage:   all example programs ran "
-                     "compiled (no tree-walker fallbacks)")
     return "\n".join(lines)

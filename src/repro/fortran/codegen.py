@@ -1,11 +1,11 @@
-"""Second-generation compiled layer: Python *source* code generation.
+"""The compiled execution tier: Python *source* code generation.
 
-Where :mod:`repro.fortran.compile` lowers each program unit to a table
-of pre-bound closures (one Python call per statement), this layer emits
-one generated Python function per unit — the whole statement tree
-flattened into a ``while`` dispatch loop over basic-block regions, with
-names resolved to frame-slot accesses at emit time — and compiles it
-once with :func:`compile`.  Three things make it fast:
+This is the one compiled tier beside the tree-walking interpreter
+(:mod:`repro.fortran.interp`, the oracle).  It emits one generated
+Python function per program unit — the whole statement tree flattened
+into a ``while`` dispatch loop over basic-block regions, with names
+resolved to frame-slot accesses at emit time — and compiles it once
+with :func:`compile`.  Three things make it fast:
 
 * **No per-statement dispatch.**  Straight-line statement runs become
   straight-line Python; GOTO / computed GOTO / block IF lower to
@@ -39,8 +39,8 @@ Below that, compiled code objects are shared per process by a digest
 of the generated source, so a re-parsed program re-emits its units but
 does not re-``compile()`` them.
 A unit using a construct this layer cannot prove equivalent raises
-:class:`CodegenUnsupported`; the interpreter then falls back to the
-closure tier and records the reason in ``compile_fallbacks``.
+:class:`CodegenUnsupported`; the interpreter then tree-walks that unit
+and records the reason in ``compile_fallbacks``.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ import numpy as np
 
 from repro._util.errors import FortranError
 from repro.fortran import ast_nodes as ast
-from repro.fortran.compile import (
-    _SKIP_CLASSES,
-    kernel_eligible_doalls,
-)
 from repro.fortran.formats import apply_format, parse_format
 from repro.fortran.intrinsics import call_intrinsic, is_intrinsic
 from repro.fortran.interp import (
@@ -80,15 +76,49 @@ _INT = FType.INTEGER
 _REAL = FType.REAL
 _DOUBLE = FType.DOUBLE
 
-# slot kinds (same classification as the closure tier)
-_CELL = "cell"
-_ARRAY = "array"
-_MAYBE = "maybe"
-_DYNAMIC = "dynamic"
+# slot kinds
+_CELL = "cell"        # provably a Cell for the whole invocation
+_ARRAY = "array"      # provably an FArray (declared bounds)
+_MAYBE = "maybe"      # dummy argument: Cell or FArray per call site
+_DYNAMIC = "dynamic"  # procedure-named: replicate dict semantics exactly
+
+#: declaration-like statements: no cost, no execution
+_SKIP_CLASSES = (ast.Declaration, ast.DimensionDecl, ast.CommonDecl,
+                 ast.ParameterDecl, ast.DataDecl, ast.ExternalDecl,
+                 ast.FormatStmt)
 
 
 class CodegenUnsupported(Exception):
     """The unit uses a construct source codegen does not handle."""
+
+
+def kernel_eligible_doalls(facts) -> dict[str, set[int]]:
+    """Routine name -> DOALL labels the analyzer proved race-free.
+
+    ``facts`` is a ``force check --facts`` document (see
+    :mod:`repro.analysis.facts`).  A DOALL whose body the race engine
+    could not fault keeps its numeric label through translation (the
+    sed expansion emits ``DO <label> I = ...``), so this tier can find
+    the exact loop and treat it as an array-kernel candidate: its
+    iterations touch disjoint storage.  Loops absent here stay on the
+    generic path.  Reads the document only, so importing this module
+    does not load :mod:`repro.analysis`.
+    """
+    out: dict[str, set[int]] = {}
+    if not facts:
+        return out
+    for entry in facts.get("files", []):
+        for doall in entry.get("doalls", []):
+            if not doall.get("race_free"):
+                continue
+            try:
+                label = int(doall.get("label") or 0)
+            except (TypeError, ValueError):
+                continue
+            if label > 0:
+                out.setdefault(
+                    str(doall["routine"]).upper(), set()).add(label)
+    return out
 
 
 def facts_digest(doc) -> str:
@@ -221,7 +251,8 @@ def _ge(a, b):
 
 
 def _ld1(cell, fast, sub):
-    """1-D array element load with the closure tier's fast path."""
+    """1-D array element load, reading numpy storage directly when
+    the subscript is in bounds."""
     if sub.__class__ is not int:
         sub = int(sub)
     if fast is not None:
@@ -233,7 +264,9 @@ def _ld1(cell, fast, sub):
 
 
 def _st1(cell, fast, v, sub):
-    """1-D array element store with the closure tier's typed fast path."""
+    """1-D array element store, writing numpy storage directly when
+    the subscript is in bounds and the value already has the element's
+    type."""
     if sub.__class__ is not int:
         sub = int(sub)
     if fast is not None:
@@ -251,7 +284,7 @@ def _st1(cell, fast, v, sub):
 
 
 def _sca(cell, v):
-    """Scalar cell assignment, type-specialized like the closure tier."""
+    """Scalar cell assignment, type-specialized per value class."""
     cls = v.__class__
     ftype = cell.ftype
     if cls is float:
@@ -325,8 +358,8 @@ def _dvc(entry, name, unit):
 
 
 def _adv(frame, executed, nxt):
-    """DO terminal advance — identical trip accounting to the closure
-    tier (typed increment of the loop variable)."""
+    """DO terminal advance — identical trip accounting to the tree
+    walker (typed increment of the loop variable)."""
     stack = frame.do_stack
     while stack and stack[-1][1] == executed:
         entry = stack[-1]
@@ -609,7 +642,7 @@ def _consults_valid(consults, interp) -> bool:
 
 
 # ----------------------------------------------------------------------
-# program / unit wrappers (mirrors compile.CompiledProgram)
+# program / unit wrappers
 # ----------------------------------------------------------------------
 class CodegenProgram:
     """Per-interpreter cache of source-generated units."""
@@ -617,7 +650,7 @@ class CodegenProgram:
     def __init__(self, interp) -> None:
         self.interp = interp
         self._units: dict[str, "CodegenUnit | None"] = {}
-        #: unit name -> reason the next tier down is used instead
+        #: unit name -> reason the tree walker runs it instead
         self.fallbacks: dict[str, str] = {}
         self.facts_key = facts_digest(getattr(interp, "facts", None))
         #: routine -> race-free DOALL labels from the analysis facts
@@ -720,8 +753,9 @@ class CodegenUnit:
         return None
 
     def _bind(self, frame) -> None:
-        """Resolve slots to this invocation's storage (same fast-view
-        capture as the closure tier)."""
+        """Resolve slots to this invocation's storage: ``slots`` and
+        ``argrefs`` per name, plus a numpy fast view for 1-D numeric
+        arrays (read by :func:`_ld1`/:func:`_st1`)."""
         from repro.fortran.interp import Cell
         variables = frame.vars
         slots = []
@@ -781,7 +815,7 @@ class _EmitterBase:
         self.kernel_labels: list[int] = []
         self.kernel_refused: dict[int, str] = {}
 
-        # name classification (same rules as the closure tier)
+        # name classification
         self._params = set(unit.params)
         self._bounds_names: set[str] = set()
         self._externals: set[str] = set()

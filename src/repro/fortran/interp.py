@@ -16,7 +16,6 @@ the exact shared-memory model of the paper's machines.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -42,12 +41,13 @@ class Cost:
     """Charge ``cycles`` of simulated time to the executing process.
 
     ``statements`` is the number of source statements the event
-    accounts for: the tree-walker and closure tiers emit one event per
-    statement (``statements == 1``), while the source-codegen tier
-    batches straight-line runs and vectorized DOALL kernels into
-    aggregate events carrying the exact statement count the tree
-    walker would have produced.  Clock accounting only reads
-    ``cycles``; ``statements`` feeds throughput benchmarks.
+    accounts for: the tree walker emits one event per statement
+    (``statements == 1``), while generated code
+    (:mod:`repro.fortran.codegen`) batches straight-line runs and
+    vectorized DOALL kernels into aggregate events carrying the exact
+    statement count the tree walker would have produced.  Clock
+    accounting only reads ``cycles``; ``statements`` feeds throughput
+    benchmarks.
 
     ``repeat`` stands for that many identical events in a row (a
     kernelized DOALL replays its per-iteration events this way); the
@@ -56,8 +56,7 @@ class Cost:
 
     Not frozen, because generated code builds one per flush and a
     frozen ``__init__`` costs a ``object.__setattr__`` call per field;
-    instances are shared (prebuilt per statement by the closure tier),
-    so treat them as immutable.
+    still, treat instances as immutable once yielded.
     """
     cycles: int
     statements: int = 1
@@ -270,7 +269,13 @@ StatementExecution = Cost
 # frames
 # ----------------------------------------------------------------------
 class Frame:
-    """Activation record for one program-unit invocation."""
+    """Activation record for one program-unit invocation.
+
+    ``slots``, ``argrefs`` and ``fast`` are filled only when generated
+    code runs the unit: per slot-resolved name its storage, its
+    by-reference argument wrapper, and a numpy fast view (1-D numeric
+    arrays) or None.  The tree walker leaves them None.
+    """
 
     __slots__ = ("unit", "vars", "do_stack", "process", "interpreter",
                  "result_cell", "externals", "slots", "argrefs", "fast",
@@ -285,7 +290,7 @@ class Frame:
         self.interpreter: Interpreter | None = None
         self.result_cell: Cell | None = None
         self.externals: set[str] = set()
-        # compiled-layer bindings (repro.fortran.compile)
+        # generated-code bindings (repro.fortran.codegen)
         self.slots: list | None = None
         self.argrefs: list | None = None
         self.fast: list | None = None
@@ -315,18 +320,14 @@ class StopSignal(Exception):
 # ----------------------------------------------------------------------
 # the interpreter
 # ----------------------------------------------------------------------
-def execution_tier(compiled: bool = True, codegen: str | None = None) -> str:
-    """The tier an :class:`Interpreter` built with these arguments runs
-    on: ``codegen`` (default ``REPRO_CODEGEN`` or ``"source"``), or
-    ``"interp"`` when ``compiled`` is false or ``REPRO_NO_JIT`` is set."""
-    tier = codegen if codegen is not None \
-        else os.environ.get("REPRO_CODEGEN") or "source"
-    if tier not in ("source", "closure", "interp"):
+def execution_tier(codegen: str | None = None) -> str:
+    """The tier an :class:`Interpreter` built with ``codegen`` runs on:
+    ``"source"`` (generated code, the default) or ``"interp"`` (the
+    tree walker, the oracle)."""
+    tier = "source" if codegen is None else codegen
+    if tier not in ("source", "interp"):
         raise FortranError(
-            f"unknown codegen tier {tier!r} "
-            "(expected source, closure or interp)")
-    if not compiled or os.environ.get("REPRO_NO_JIT"):
-        return "interp"
+            f"unknown codegen tier {tier!r} (expected source or interp)")
     return tier
 
 
@@ -339,7 +340,6 @@ class Interpreter:
                  on_output: Callable[[str, Frame], None] | None = None,
                  cost_scale: int = 1,
                  max_call_depth: int = 64,
-                 compiled: bool = True,
                  facts: dict | None = None,
                  codegen: str | None = None) -> None:
         self.program = program
@@ -351,17 +351,12 @@ class Interpreter:
         self.max_call_depth = max_call_depth
         self.input_data: list[FValue] = []
         #: ``force check --facts`` document, when the caller has one;
-        #: the compiled layer uses it to find DOALLs the static race
+        #: generated code uses it to find DOALLs the static race
         #: engine proved race-free (kernel-lowering candidates).
         self.facts = facts
-        # Compiled execution layers: on by default, REPRO_NO_JIT=1
-        # forces the tree-walker everywhere.  ``codegen`` picks the
-        # tier: "source" (repro.fortran.codegen, the default), or
-        # "closure" (repro.fortran.compile), or "interp" (tree-walk).
-        self.compiled_enabled = compiled and not os.environ.get(
-            "REPRO_NO_JIT")
-        self.codegen_tier = execution_tier(compiled, codegen)
-        self._compiled = None
+        #: "source" (repro.fortran.codegen, the default) or "interp"
+        #: (the tree walker)
+        self.codegen_tier = execution_tier(codegen)
         self._codegen = None
 
     # ------------------------------------------------------------------
@@ -381,28 +376,17 @@ class Interpreter:
         """Generator executing one unit invocation.
 
         The generator's return value (StopIteration.value) is the
-        function result for FUNCTION units, else None.  Units compile
-        to closure tables on first use (see
-        :mod:`repro.fortran.compile`); units the compiled layer cannot
-        handle fall back to the tree-walker, with the reason recorded
-        in :attr:`compile_fallbacks`.
+        function result for FUNCTION units, else None.  On the source
+        tier units are emitted as Python source on first use (see
+        :mod:`repro.fortran.codegen`); a unit codegen cannot handle
+        falls back to the tree walker, with the reason recorded in
+        :attr:`compile_fallbacks`.
         """
-        tier = self.codegen_tier
-        if tier != "interp" and self.compiled_enabled:
-            if tier == "source":
-                generated = self._codegen_unit(unit)
-                if generated is not None:
-                    return generated.run(args, depth, process)
-            compiled = self._compiled_unit(unit)
-            if compiled is not None:
-                return compiled.run(args, depth, process)
+        if self.codegen_tier == "source":
+            generated = self._codegen_unit(unit)
+            if generated is not None:
+                return generated.run(args, depth, process)
         return self._run_unit_tree(unit, args, depth, process)
-
-    def _compiled_unit(self, unit: ProgramUnit):
-        if self._compiled is None:
-            from repro.fortran.compile import CompiledProgram
-            self._compiled = CompiledProgram(self)
-        return self._compiled.unit_for(unit)
 
     def _codegen_unit(self, unit: ProgramUnit):
         if self._codegen is None:
@@ -412,34 +396,22 @@ class Interpreter:
 
     @property
     def compile_fallbacks(self) -> dict[str, str]:
-        """Unit name -> reason a faster tier was skipped (empty when
-        every executed unit ran on the best enabled tier).
-
-        With the source-codegen tier a unit may fall back twice —
-        codegen -> closures -> tree-walker; the recorded reason then
-        carries both stages."""
-        out: dict[str, str] = {}
-        if self._codegen is not None:
-            for name, reason in self._codegen.fallbacks.items():
-                out[name] = f"codegen: {reason}"
-        if self._compiled is not None:
-            for name, reason in self._compiled.fallbacks.items():
-                prev = out.get(name)
-                out[name] = f"{prev}; closures: {reason}" if prev \
-                    else reason
-        return out
+        """Unit name -> ``"codegen: <reason>"`` for each unit the source
+        tier refused and the tree walker ran instead (empty when every
+        executed unit ran generated code, and always on the interp
+        tier)."""
+        if self._codegen is None:
+            return {}
+        return {name: f"codegen: {reason}"
+                for name, reason in self._codegen.fallbacks.items()}
 
     @property
     def kernel_eligible(self) -> dict[str, list[int]]:
-        """Unit name -> labels of compiled DO loops the analysis facts
+        """Unit name -> labels of generated DO loops the analysis facts
         proved race-free (array-kernel candidates); empty without a
-        facts document or before any unit compiles."""
-        out: dict[str, list[int]] = {}
-        if self._compiled is not None:
-            out.update(self._compiled.kernel_eligible)
-        if self._codegen is not None:
-            out.update(self._codegen.kernel_eligible)
-        return out
+        facts document or before any unit is emitted."""
+        return {} if self._codegen is None \
+            else dict(self._codegen.kernel_eligible)
 
     @property
     def codegen_kernelized(self) -> dict[str, list[int]]:

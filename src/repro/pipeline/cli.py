@@ -235,10 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="indices claimed per lock round for "
                           "--sched chunked (implies it when > 1)")
-    run.add_argument("--no-jit", action="store_true",
-                     help="execute on the tree-walking interpreter "
-                          "instead of the compiled execution layer "
-                          "(the differential-testing oracle)")
     run.add_argument("--checkpoint", metavar="DIR", default=None,
                      help="write barrier-epoch snapshots here "
                           "(native process backend only)")
@@ -267,12 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "proves race-free are marked kernel-eligible "
                           "(and lowered to numpy kernels on the source "
                           "tier); stale-revision facts are refused")
-    run.add_argument("--codegen",
-                     choices=["source", "closure", "interp"],
+    run.add_argument("--codegen", choices=["source", "interp"],
                      default=None,
                      help="execution tier: generated Python source "
-                          "(default), pre-bound closures, or the "
-                          "tree-walking interpreter")
+                          "(default) or the tree-walking interpreter "
+                          "(the differential-testing oracle)")
     run.add_argument("--dump-codegen", metavar="DIR", default=None,
                      help="write each unit's generated Python source "
                           "(per-line Fortran provenance comments) "
@@ -524,7 +519,7 @@ def _dump_codegen(outdir: str, result, backend: str) -> None:
               file=sys.stderr)
     else:
         print("force: note: no generated source to dump (units fell "
-              "back, or the run used --codegen closure/interp)",
+              "back, or the run used --codegen interp)",
               file=sys.stderr)
 
 
@@ -559,15 +554,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ForceError(str(exc)) from None
         facts = _fresh_facts(facts, args.facts)
         if facts is not None and args.backend != "sim" and not supervised:
-            print("force: note: --facts gates the simulator's compiled "
-                  "layer; ignored for unsupervised native runs",
+            print("force: note: --facts gates the simulator's generated "
+                  "code; ignored for unsupervised native runs",
                   file=sys.stderr)
             facts = None
     if args.backend == "sim":
         result = force_run(translation, args.nproc,
                            trace=args.trace is not None,
                            deadline=args.deadline,
-                           compiled=not args.no_jit,
                            facts=facts,
                            codegen=args.codegen)
     else:
@@ -579,7 +573,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             metrics=args.metrics is not None,
                             trace_capacity=args.trace_buffer,
                             deadline=args.deadline,
-                            compiled=not args.no_jit,
                             codegen=args.codegen,
                             retries=args.retries,
                             min_nproc=args.min_nproc,
@@ -725,7 +718,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         print(render_bench_report(report))
     if report["fallbacks"]:
-        print("force: error: compiled layer fell back to the "
+        print("force: error: source codegen fell back to the "
               "tree-walker on corpus program(s): "
               f"{', '.join(sorted(report['fallbacks']))}",
               file=sys.stderr)

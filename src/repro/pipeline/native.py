@@ -556,7 +556,6 @@ def _native_worker(force, me: int, spec: dict) -> None:
     lines: list[str] = []
     interp = Interpreter(program, external=runtime, commons=commons,
                          on_output=lambda line, frame: lines.append(line),
-                         compiled=spec["compiled"],
                          codegen=spec.get("codegen"))
     try:
         if me == 1:
@@ -622,7 +621,6 @@ def native_run(translation: TranslationResult, nproc: int, *,
                metrics: bool = False,
                trace_capacity: int = 65536,
                deadline: float | None = None,
-               compiled: bool = True,
                codegen: str | None = None,
                retries: int = 0,
                min_nproc: int | None = None,
@@ -687,7 +685,6 @@ def native_run(translation: TranslationResult, nproc: int, *,
         "backend": backend,
         "main": main_name,
         "outdir": outdir,
-        "compiled": compiled,
         "codegen": codegen,
     }
     run_id = None

@@ -42,8 +42,8 @@ class RunResult:
     memory_plan: SharedRegionPlan | None = None
     #: (time, process, event) triples when run with ``trace=True``
     trace: list[tuple[int, str, str]] = field(default_factory=list)
-    #: program units the compiled execution layer could not handle
-    #: (unit name → reason); empty when everything ran compiled
+    #: program units source codegen refused and the tree walker ran
+    #: (unit name → reason); empty when everything ran generated code
     compile_fallbacks: dict[str, str] = field(default_factory=dict)
     #: unit name → labels of DO loops the analysis facts proved
     #: race-free (kernel-lowering candidates)
@@ -152,7 +152,6 @@ def force_run(translation: TranslationResult, nproc: int, *,
               processors: int | None = None,
               unlimited_processors: bool = False,
               deadline: float | None = None,
-              compiled: bool = True,
               facts: dict | None = None,
               codegen: str | None = None) -> RunResult:
     """Simulate a translated Force program with ``nproc`` processes.
@@ -163,27 +162,27 @@ def force_run(translation: TranslationResult, nproc: int, *,
     ideal CPU (algorithm-measurement mode).  ``deadline`` bounds the
     run in wall-clock seconds — exceeding it raises
     :class:`~repro._util.errors.SimDeadlockError` instead of churning
-    forever on a livelocked program.  ``compiled=False`` forces the
-    tree-walking interpreter (the ``--no-jit`` differential oracle).
-    ``facts`` is an analysis facts document; the compiled layer uses
-    it to mark statically race-free DOALLs as kernel candidates
-    (reported in :attr:`RunResult.kernel_eligible`) and — on the
-    source-codegen tier — to lower them to numpy slice kernels
-    (reported in :attr:`RunResult.kernelized_doalls`, refusals in
-    :attr:`RunResult.kernel_refused`).  On that tier ``facts=None``
-    means the facts of ``translation.force_source``, computed
-    in-process (:func:`program_facts`); ``facts={}`` proves nothing.
-    Kernels replay the generic loop's cost events, so output,
-    makespan and lock statistics equal the tree walker's.
-    ``codegen`` picks the execution tier
-    (``"source"``/``"closure"``/``"interp"``, default ``"source"``).
+    forever on a livelocked program.
+
+    ``codegen`` picks the execution tier: ``"source"`` (generated
+    Python, the default) or ``"interp"`` (the tree-walking
+    interpreter, the differential oracle).  ``facts`` is an analysis
+    facts document; the source tier uses it to mark statically
+    race-free DOALLs as kernel candidates (reported in
+    :attr:`RunResult.kernel_eligible`) and to lower them to numpy
+    slice kernels (reported in :attr:`RunResult.kernelized_doalls`,
+    refusals in :attr:`RunResult.kernel_refused`).  There
+    ``facts=None`` means the facts of ``translation.force_source``,
+    computed in-process (:func:`program_facts`); ``facts={}`` proves
+    nothing.  Kernels replay the generic loop's cost events, so
+    output, makespan and lock statistics equal the tree walker's.
     """
     machine = translation.machine
     if nproc <= 0:
         raise ForceError("nproc must be positive")
     if processors is None and not unlimited_processors:
         processors = machine.processors
-    if facts is None and execution_tier(compiled, codegen) == "source":
+    if facts is None and execution_tier(codegen) == "source":
         facts = program_facts(translation.force_source)
     program = parse_source(translation.fortran)
     registry = SharingRegistry()
@@ -198,7 +197,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
     if machine.sharing_binding is SharingBinding.LINK_TIME:
         collector = _StartupCollector()
         startup_interp = Interpreter(program, external=collector,
-                                     compiled=compiled, codegen=codegen)
+                                     codegen=codegen)
         if "ZZSTRT" in program.units:
             drain(startup_interp.run_unit(program.unit("ZZSTRT"), []))
         for block in collector.blocks:
@@ -219,7 +218,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
 
     interp = Interpreter(program, external=runtime,
                          commons=runtime.provider, on_output=on_output,
-                         compiled=compiled, facts=facts, codegen=codegen)
+                         facts=facts, codegen=codegen)
     runtime.interpreter = interp
 
     driver_holder: list = []

@@ -59,19 +59,6 @@ class TestChaosInvariant:
                            ("barrier", "critical", "selfsched",
                             "askfor", "asyncvar")), outcome.error
 
-    def test_outcomes_recorded_to_bench_results(self, sweep_report,
-                                                record_result):
-        record_result(
-            "chaos_sweep",
-            params={"seed": SEED, "runs": RUNS, "nproc": NPROC,
-                    "deadline_s": DEADLINE,
-                    "construct_timeout_s": CONSTRUCT_TIMEOUT},
-            wall_s=round(sum(o.elapsed
-                             for o in sweep_report.outcomes), 3),
-            data={"counts": sweep_report.counts,
-                  "faults_injected": sweep_report.faults_injected,
-                  "violations": len(sweep_report.violations)})
-
 
 class TestReplayDeterminism:
     def test_same_seed_derives_identical_plans(self):

@@ -1,6 +1,6 @@
 """Source-codegen tier specifics: caching, facts gating, provenance.
 
-The differential contract (codegen vs closures vs tree-walker) lives
+The differential contract (codegen vs tree-walker) lives
 in ``test_compiled_vs_interp.py``; this file covers what is unique to
 the generated-source tier — the artifact cache keyed on the facts
 digest, the per-process code-object table keyed on the generated
@@ -322,17 +322,29 @@ class TestStaleFactsRefusal:
 
 
 class TestTierSelection:
-    def test_env_var_interp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "interp")
-        interp = Interpreter(parse_source(KERNEL_SOURCE))
-        assert interp.codegen_tier == "interp"
-
     def test_bad_tier_rejected(self):
         from repro._util.errors import FortranError
         with pytest.raises(FortranError, match="unknown codegen tier"):
             Interpreter(parse_source(KERNEL_SOURCE), codegen="llvm")
 
-    def test_no_jit_overrides_tier(self):
-        interp = Interpreter(parse_source(KERNEL_SOURCE),
-                             compiled=False, codegen="source")
-        assert interp.codegen_tier == "interp"
+    def test_retired_tier_switches_rejected(self, tmp_path, capsys):
+        # --codegen {source,interp} / codegen= are the only tier switches
+        from repro._util.errors import FortranError
+        from repro.pipeline.cli import main
+        with pytest.raises(FortranError) as excinfo:
+            Interpreter(parse_source(KERNEL_SOURCE), codegen="closure")
+        assert "source" in str(excinfo.value)
+        assert "interp" in str(excinfo.value)
+        path = tmp_path / "prog.frc"
+        path.write_text(strip_margin("""\
+            Force CLIP of NP ident ME
+            Shared INTEGER TOTAL
+            End declarations
+            Join
+                  END
+        """))
+        for flags in (["--codegen", "closure"], ["--no-jit"]):
+            assert main(["run", str(path), *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert "invalid choice: 'closure'" in err
+        assert "unrecognized arguments: --no-jit" in err

@@ -1,8 +1,7 @@
-"""Differential harness: the faster execution tiers vs the tree-walker.
+"""Differential harness: the compiled execution tier vs the tree-walker.
 
-Both compiled tiers — the closure compiler (``fortran/compile.py``)
-and the source-codegen tier (``fortran/codegen.py``) — must be
-*bit-identical* to the tree-walking interpreter they replace: same
+The source-codegen tier (``fortran/codegen.py``) must be
+*bit-identical* to the tree-walking interpreter it replaces: same
 output lines, same simulated schedules (cost events feed the
 discrete-event scheduler, so makespan and lock statistics are part of
 the contract), same final COMMON storage, and same errors on bad
@@ -35,8 +34,8 @@ NON_RUNNABLE = {"racy_stencil.frc"}
 RUNNABLE = sorted(p.name for p in EXAMPLES.glob("*.frc")
                   if p.name not in NON_RUNNABLE)
 
-#: the three execution tiers, oracle first
-TIERS = ("interp", "closure", "source")
+#: the two execution tiers, oracle first
+TIERS = ("interp", "source")
 
 
 def run_tiers(source, input_data=None, tiers=TIERS):
@@ -50,8 +49,7 @@ def run_tiers(source, input_data=None, tiers=TIERS):
     interps = []
     for tier in tiers:
         program = parse_source(strip_margin(source))
-        interp = Interpreter(program, compiled=tier != "interp",
-                             codegen=tier)
+        interp = Interpreter(program, codegen=tier)
         if input_data is not None:
             interp.set_input(input_data)
         statements = cycles = 0
@@ -62,12 +60,6 @@ def run_tiers(source, input_data=None, tiers=TIERS):
         interp.cost_totals = (statements, cycles)
         interps.append(interp)
     return interps
-
-
-def run_both(source, input_data=None):
-    """Back-compat wrapper: (tree-walker, best compiled tier)."""
-    tree, _, comp = run_tiers(source, input_data)
-    return tree, comp
 
 
 def common_state(interp):
@@ -91,31 +83,29 @@ class TestExamplesBitIdentical:
     def test_example_identical(self, example, machine_key, nproc):
         source = (EXAMPLES / example).read_text(encoding="utf-8")
         translation = force_translate(source, get_machine(machine_key))
-        tree = force_run(translation, nproc, compiled=False)
-        for tier in ("closure", "source"):
-            comp = force_run(translation, nproc, codegen=tier)
-            assert comp.output == tree.output, tier
-            assert comp.output_records == tree.output_records, tier
-            assert comp.makespan == tree.makespan, tier
-            assert comp.stats.statements == tree.stats.statements, tier
-            assert comp.stats.lock_acquisitions == \
-                tree.stats.lock_acquisitions, tier
-            assert comp.stats.contended_acquisitions == \
-                tree.stats.contended_acquisitions, tier
-            assert comp.stats.spin_cycles == tree.stats.spin_cycles, tier
-            assert comp.stats.context_switches == \
-                tree.stats.context_switches, tier
-            assert comp.compile_fallbacks == {}, tier
+        tree = force_run(translation, nproc, codegen="interp")
+        comp = force_run(translation, nproc, codegen="source")
+        assert comp.output == tree.output
+        assert comp.output_records == tree.output_records
+        assert comp.makespan == tree.makespan
+        assert comp.stats.statements == tree.stats.statements
+        assert comp.stats.lock_acquisitions == \
+            tree.stats.lock_acquisitions
+        assert comp.stats.contended_acquisitions == \
+            tree.stats.contended_acquisitions
+        assert comp.stats.spin_cycles == tree.stats.spin_cycles
+        assert comp.stats.context_switches == \
+            tree.stats.context_switches
+        assert comp.compile_fallbacks == {}
 
     @pytest.mark.parametrize("example", RUNNABLE)
-    @pytest.mark.parametrize("tier", ["closure", "source"])
-    def test_example_identical_under_chunked_sched(self, example, tier):
+    def test_example_identical_under_chunked_sched(self, example):
         source = (EXAMPLES / example).read_text(encoding="utf-8")
         machine = get_machine("sequent-balance")
         translation = force_translate(source, machine,
                                       sched="chunked", chunk=8)
-        tree = force_run(translation, 4, compiled=False)
-        comp = force_run(translation, 4, codegen=tier)
+        tree = force_run(translation, 4, codegen="interp")
+        comp = force_run(translation, 4, codegen="source")
         assert comp.output == tree.output
         assert comp.makespan == tree.makespan
         assert comp.compile_fallbacks == {}
@@ -233,13 +223,12 @@ FEATURE_INPUT = {"read_into_array": "4 5 6\n"}
 class TestFeatureProgramsIdentical:
     @pytest.mark.parametrize("name", sorted(FEATURE_PROGRAMS))
     def test_feature_identical(self, name):
-        tree, closure, source = run_tiers(
+        tree, comp = run_tiers(
             FEATURE_PROGRAMS[name],
             input_data=FEATURE_INPUT.get(name))
-        for tier, comp in (("closure", closure), ("source", source)):
-            assert comp.output == tree.output, tier
-            assert common_state(comp) == common_state(tree), tier
-            assert comp.cost_totals == tree.cost_totals, tier
+        assert comp.output == tree.output
+        assert common_state(comp) == common_state(tree)
+        assert comp.cost_totals == tree.cost_totals
 
 
 ERROR_PROGRAMS = {
@@ -272,8 +261,7 @@ class TestErrorsIdentical:
         messages = []
         for tier in TIERS:
             program = parse_source(strip_margin(source))
-            interp = Interpreter(program, compiled=tier != "interp",
-                                 codegen=tier)
+            interp = Interpreter(program, codegen=tier)
             if name == "fell_off_the_end":
                 # this one terminates normally on END; skip the error
                 # comparison and just check all tiers complete alike
@@ -284,30 +272,6 @@ class TestErrorsIdentical:
                 drain(interp.run_program())
             messages.append(str(excinfo.value))
         assert len(set(messages)) == 1, messages
-
-
-class TestFallbackControls:
-    def test_env_var_forces_tree_walker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        program = parse_source(strip_margin("""\
-      PROGRAM MAIN
-      WRITE(*,*) 1
-      END
-        """))
-        interp = Interpreter(program)
-        assert not interp.compiled_enabled
-        drain(interp.run_program())
-        assert interp.output == [" 1"] or interp.output
-
-    def test_constructor_flag_forces_tree_walker(self):
-        program = parse_source(strip_margin("""\
-      PROGRAM MAIN
-      WRITE(*,*) 1
-      END
-        """))
-        interp = Interpreter(program, compiled=False)
-        assert not interp.compiled_enabled
-        assert interp.compile_fallbacks == {}
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +320,7 @@ def _fuzz_program(rng):
     cannot explode into huge bignums; ``I`` stays fixed so ``A(I)``
     subscripts are always in bounds.  Divisions only ever use nonzero
     literals.  Any remaining float corner (inf propagation, negative
-    zero) must simply agree across the three tiers.
+    zero) must simply agree across the two tiers.
     """
     lines = ["      PROGRAM FUZZ",
              "      INTEGER I, J, K, L, A(5)",
@@ -396,8 +360,7 @@ class TestStraightLineFuzz:
         results = []
         for tier in TIERS:
             program = parse_source(source)
-            interp = Interpreter(program, compiled=tier != "interp",
-                                 codegen=tier)
+            interp = Interpreter(program, codegen=tier)
             statements = cycles = 0
             error = None
             try:

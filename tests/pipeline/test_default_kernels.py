@@ -140,9 +140,7 @@ class TestFactsTable:
 
     def test_other_tiers_never_analyse(self, facts_table, analysed):
         translation = self._jacobi()
-        for codegen in ("interp", "closure"):
-            force_run(translation, 2, codegen=codegen)
-        force_run(translation, 2, compiled=False)
+        force_run(translation, 2, codegen="interp")
         from repro.pipeline.native import native_run
         native = force_translate(programs.render("jacobi", n=16),
                                  get_machine("python-host"))

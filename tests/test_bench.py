@@ -97,19 +97,15 @@ class TestWallSpeedup:
             "quick": True, "git_revision": None, "output": "x.json",
             "fallbacks": {},
             "results": [
-                {"name": "bench_jacobi_throughput",
-                 "data": {"tree_stmt_per_s": 1, "compiled_stmt_per_s": 2,
-                          "speedup": 2.0, "kernelized_doalls": 2}},
                 {"name": "bench_codegen_throughput",
-                 "data": {"tiers": {
+                 "data": {"kind": "micro-kernel", "tiers": {
                      "interp": {"stmt_per_s": 10,
                                 "speedup_vs_interp": 1.0},
-                     "closure": {"stmt_per_s": 50,
-                                 "speedup_vs_interp": 5.0},
                      "source": {"stmt_per_s": 900,
                                 "speedup_vs_interp": 90.0}},
                      "kernelized_doalls": 2,
-                     "codegen_fell_back": False}},
+                     "codegen_fell_back": False,
+                     "corpus_fallbacks": {}}},
                 {"name": "bench_selfsched_dispatch",
                  "data": {"policies": {
                      "self": {"chunks": 64}, "chunked16": {"chunks": 4},
@@ -144,9 +140,14 @@ class TestWallSpeedup:
             ],
         }
         text = bench.render_bench_report(report)
-        assert "2 DOALL(s) vectorized" in text
-        assert "source 900 (90.0x)" in text
+        codegen_lines = [line for line in text.splitlines()
+                         if line.startswith("codegen micro-kernel")]
+        assert len(codegen_lines) == 1, text
+        assert "2 DOALL(s) vectorized" in codegen_lines[0]
+        assert "source 900 (90.0x)" in codegen_lines[0]
+        assert "no tree-walker fallbacks" in codegen_lines[0]
         assert "FELL BACK" not in text
+        assert "FALLBACKS" not in text
         assert "wall_speedup" in text
         assert "0.80x" in text
         assert "1 CPU(s)" in text
@@ -172,18 +173,17 @@ class TestCodegenThroughput:
     def test_quick_entry_shape(self):
         outcome = bench.bench_codegen_throughput(True)
         data = outcome["data"]
-        assert set(data["tiers"]) == {"interp", "closure", "source"}
-        # the perf gate CI greps for: no fallback, kernels lowered
+        assert data["kind"] == "micro-kernel"
+        assert set(data["tiers"]) == {"interp", "source"}
+        # the perf gate CI greps for: no fallback, both Jacobi sweeps
+        # lowered to kernels
         assert data["codegen_fell_back"] is False
-        assert data["kernelized_doalls"] > 0
+        assert data["kernelized_doalls"] == 2
         # warm source tier beats the tree-walker by a wide margin even
         # on the quick kernel (acceptance asks for 50x on the full one)
         assert data["tiers"]["source"]["speedup_vs_interp"] > 10
-
-    def test_jacobi_records_kernelized_doalls(self):
-        outcome = bench.bench_jacobi_throughput(True)
-        assert outcome["data"]["kernelized_doalls"] == 2
-        assert outcome["data"]["speedup"] > 10
+        # the example corpus runs generated code throughout
+        assert data["corpus_fallbacks"] == {}
 
     def test_tune_quality_quick_shape(self):
         outcome = bench.bench_tune_quality(True)
