@@ -2,7 +2,8 @@
 
 The :class:`FaultInjector` lives on a :class:`~repro.runtime.force.Force`
 run (``Force(..., inject=plan)``) and is consulted from the *same*
-interception points the stats/trace layers use.  Each consultation is
+interception points as the run's observability probe, as a separate
+control hook.  Each consultation is
 one ``fire(site, name, me)`` call; the injector counts matching hits
 per spec and executes the spec's fault exactly at its scheduled
 occurrence:
@@ -19,7 +20,8 @@ occurrence:
   means "drop this wakeup".
 
 Every executed fault is appended to :attr:`FaultInjector.injected`
-(and recorded as a ``fault`` trace event when tracing is on), so a
+(and recorded as a ``fault`` event through the run's
+:class:`~repro.runtime.probe.Probe`, when it has one), so a
 chaos run can report — and a replay can verify — exactly what was
 injected where.
 """
@@ -35,7 +37,7 @@ from repro._util.errors import ForceError
 from repro.faults.plan import FaultPlan, FaultSpec
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
-    from repro.trace.collector import TraceCollector
+    from repro.runtime.probe import Probe
 
 
 class InjectedFault(ForceError):
@@ -85,10 +87,10 @@ class FaultInjector:
     """
 
     def __init__(self, plan: FaultPlan, *,
-                 tracer: "TraceCollector | None" = None,
+                 probe: "Probe | None" = None,
                  sleep=time.sleep) -> None:
         self.plan = plan
-        self._tracer = tracer
+        self._probe = probe
         self._sleep = sleep
         self._lock = threading.Lock()
         self._hits = [0] * len(plan.faults)
@@ -123,10 +125,10 @@ class FaultInjector:
         record = InjectionRecord(kind=spec.kind, site=site, name=name,
                                  proc=me, occurrence=spec.occurrence)
         self.injected.append(record)
-        if self._tracer is not None:
-            self._tracer.record("fault", site, spec.kind,
-                                detail=record.describe(),
-                                proc=me, occurrence=spec.occurrence)
+        if self._probe is not None:
+            self._probe.event("fault", site, spec.kind,
+                              detail=record.describe(),
+                              proc=me, occurrence=spec.occurrence)
 
     @staticmethod
     def _me_of(me: int | None) -> int:

@@ -16,10 +16,12 @@ needs:
   memory stays bounded, the kept samples spread across the whole run,
   and the process is deterministic — no RNG in the hot path.
 
-Cost model (same contract as :mod:`repro.runtime.stats`): a Force
-constructed without ``metrics=True`` keeps no registry at all and each
-interception point pays one ``is None`` test; an enabled registry's
-record path is one dict lookup + a few float ops under a lock.
+Cost model: a Force constructed without ``metrics=True`` keeps no
+registry at all.  With it, every Force process records into a
+:class:`ForceMetrics` reducer of its own, fed by the run's
+:class:`~repro.runtime.probe.Probe` (one dict lookup + a few float
+ops), and reads fold the processes' registries with
+:meth:`MetricsRegistry.merge`.
 
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition
 format) and :meth:`MetricsRegistry.as_dict` (JSON document, schema
@@ -457,10 +459,9 @@ def validate_metrics(document: Any) -> list[str]:
 class ForceMetrics:
     """The runtime's metric surface over one registry.
 
-    One small object so the interception points in
-    :mod:`repro.runtime.force` / :mod:`repro.runtime.procforce` stay a
-    single attribute test + one method call, and the metric names and
-    label conventions live here, in exactly one place:
+    The count reducer the probe feeds beside
+    :class:`~repro.runtime.stats.ForceStats` (same method signatures),
+    and the one place the metric names and label conventions live:
 
     ========================================  ======================
     metric                                    labels
@@ -494,19 +495,13 @@ class ForceMetrics:
 
     # -- barriers ------------------------------------------------------
     def barrier(self, waited: float, released: bool) -> None:
-        self.barrier_wait(waited)
-        if released:
-            self.barrier_episode()
-
-    def barrier_wait(self, waited: float) -> None:
         self.registry.histogram(
             "barrier_wait_seconds",
             help="Time blocked at the barrier").observe(waited)
-
-    def barrier_episode(self) -> None:
-        self.registry.counter(
-            "barrier_episodes_total",
-            help="Barrier episodes completed").inc()
+        if released:
+            self.registry.counter(
+                "barrier_episodes_total",
+                help="Barrier episodes completed").inc()
 
     # -- critical sections ---------------------------------------------
     def critical(self, name: str, waited: float, contended: bool,

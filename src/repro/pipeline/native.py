@@ -74,6 +74,7 @@ from repro.fortran.values import FArray, FType
 from repro.pipeline.compile import TranslationResult
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.force import Force
+from repro.runtime.probe import LockWord
 from repro.runtime.supervisor import RetryPolicy, SupervisedRun
 from repro.trace.adapter import _categorize_lock
 
@@ -298,6 +299,31 @@ class _ProcessSync:
             return True
 
 
+class _RefLock(LockWord):
+    """A SPINLK lock word (a LOGICAL cell, true = locked) for the
+    probe to time."""
+
+    __slots__ = ("_sync", "_ref", "_label")
+
+    def __init__(self, sync, ref, label: str) -> None:
+        self._sync = sync
+        self._ref = ref
+        self._label = label
+
+    def try_acquire(self) -> bool:
+        with self._sync.mutex:
+            if self._ref.get():
+                return False
+            self._ref.set(True)
+            return True
+
+    def acquire(self) -> None:
+        self._sync.acquire(self._ref, self._label)
+
+    def release(self) -> None:
+        self._sync.release(self._ref)
+
+
 # ----------------------------------------------------------------------
 # the runtime-library externals
 # ----------------------------------------------------------------------
@@ -333,8 +359,8 @@ class _NativeRuntime(ExternalCallHandler):
         self.joined = False
         #: async variable storage key -> (E lock ref, F lock ref)
         self._async_pairs: dict[int, tuple] = {}
-        #: storage key -> open hold (kind, label, tid, t0, waited, contended)
-        self._lock_holds: dict[int, tuple] = {}
+        #: (storage key, thread ident) -> the probe's open lock round
+        self._lock_holds: dict[tuple[int, int], Any] = {}
         self._started = perf_counter()
 
     # -- dispatch ------------------------------------------------------
@@ -459,54 +485,40 @@ class _NativeRuntime(ExternalCallHandler):
     # the construct (BARWIN/BARWOT barrier gates, ZZL<label> selfsched
     # index locks, anything else a critical section) — the same
     # convention the simulator trace adapter categorises by.  When the
-    # Force collects traces or metrics, each lock round is recorded as
-    # wait/hold spans on the acquiring lane, so `force profile` and
-    # `force tune` see pipeline-native runs exactly like simulator and
-    # runtime-API runs.
+    # Force is observed, each lock round is one probe lock round: wait
+    # and hold spans on the acquiring lane, and for critical sections
+    # the stats and metrics counts, so `force profile` and `force tune`
+    # see pipeline-native runs exactly like simulator and runtime-API
+    # runs.
     def _locked(self, ref, frame: Frame) -> None:
         label = self._label(ref, frame)
-        tracer = self.force._tracer
-        metrics = self.force._metrics
-        if tracer is None and metrics is None:
+        probe = self.force._probe
+        if probe is None:
             self.sync.acquire(ref, label)
             return
-        contended = bool(ref.get())
-        started = perf_counter()
-        self.sync.acquire(ref, label)
-        waited = perf_counter() - started if contended else 0.0
-        kind = _categorize_lock(label)
-        if tracer is not None and contended:
-            tracer.record(kind, label, "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-        self._lock_holds[self.sync.storage_key(ref)] = (
-            kind, label, threading.get_ident(), perf_counter(),
-            waited, contended)
+        held = probe.lock(_categorize_lock(label), label,
+                          _RefLock(self.sync, ref, label))
+        held.acquire()
+        self._lock_holds[(self.sync.storage_key(ref),
+                          threading.get_ident())] = held
 
     def _unlocked(self, ref, frame: Frame) -> None:
+        probe = self.force._probe
+        if probe is None:
+            self.sync.release(ref)
+            return
+        held = self._lock_holds.pop((self.sync.storage_key(ref),
+                                     threading.get_ident()), None)
+        if held is not None:
+            held.release()
+            return
+        # An unlock of a lock this lane never acquired — the barrier
+        # macro's out-gate open (the last arriver releases BARWOT
+        # without holding it).  Record the instant so the trace
+        # analyzer can resolve gate waiters to this lane.
         self.sync.release(ref)
-        tracer = self.force._tracer
-        metrics = self.force._metrics
-        if tracer is None and metrics is None:
-            return
-        key = self.sync.storage_key(ref)
-        entry = self._lock_holds.get(key)
-        if entry is not None and entry[2] == threading.get_ident():
-            self._lock_holds.pop(key, None)
-            kind, label, _tid, held_from, waited, contended = entry
-            held = perf_counter() - held_from
-            if tracer is not None:
-                tracer.record(kind, label, "hold", phase="X",
-                              ts=tracer.now() - held, dur=held)
-            if metrics is not None and kind == "critical":
-                metrics.critical(label, waited, contended, held)
-            return
-        if tracer is not None:
-            # An unlock of a lock this lane never acquired — the
-            # barrier macro's out-gate open (the last arriver releases
-            # BARWOT without holding it).  Record the instant so the
-            # trace analyzer can resolve gate waiters to this lane.
-            label = self._label(ref, frame)
-            tracer.record(_categorize_lock(label), label, "release")
+        label = self._label(ref, frame)
+        probe.event(_categorize_lock(label), label, "release")
 
     # -- helpers -------------------------------------------------------
     @staticmethod

@@ -23,13 +23,16 @@ hang.  With a fault injector attached
 (``Force(..., inject=plan)``), ``put``/``got`` are injection sites and
 ``put``'s wakeup can be swallowed by a ``lost-wakeup`` fault (waiters
 survive via the revalidating wait).
+
+``put`` and ``get`` are written once, over a small pool protocol
+(``_append``, ``_ready``, ``_await_ready``, ``_take`` …) that the
+process backend's shared-memory pool implements over its arena ring.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from time import monotonic
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro._util.errors import ForceError, ForceWorkerDied
@@ -37,7 +40,7 @@ from repro.runtime.cancel import CancelToken
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.trace.collector import TraceCollector
+    from repro.runtime.probe import Probe
 
 
 def _me_of_thread(thread: threading.Thread) -> int:
@@ -54,16 +57,16 @@ def _me_of_thread(thread: threading.Thread) -> int:
 class AskforMonitor:
     """A work pool with built-in termination detection.
 
-    With a :class:`~repro.trace.collector.TraceCollector` attached
-    (monitors created through ``Force(..., trace=True)``), the pool
-    records ``put``/``got`` instants with queue depth and a complete
-    span for every blocked wait, and marks the waiting process parked
-    for the stall watchdog.
+    With a :class:`~repro.runtime.probe.Probe` attached (monitors
+    created through an observed ``Force``), ``put`` and ``get`` are
+    probe sites: ``put``/``got`` instants with queue depth, a span for
+    every blocked wait, the waiter marked parked for the stall
+    watchdog.
     """
 
     def __init__(self, initial: list | None = None, *,
                  cancel: CancelToken | None = None,
-                 tracer: "TraceCollector | None" = None,
+                 probe: "Probe | None" = None,
                  injector: "FaultInjector | None" = None,
                  name: str = "") -> None:
         self._items: deque = deque(initial or [])
@@ -74,7 +77,7 @@ class AskforMonitor:
         self._holder_threads: dict[int, threading.Thread] = {}
         self._done = False
         self._cancel = cancel
-        self._tracer = tracer
+        self._probe = probe
         self._injector = injector
         self._name = name
         self.total_put = len(self._items)
@@ -91,18 +94,13 @@ class AskforMonitor:
         """Add a work item (callable from inside a worker's body)."""
         injector = self._injector
         with self._condition:
-            if self._done:
-                raise ForceError("putwork after the pool terminated")
-            self._items.append(item)
-            self.total_put += 1
-            if len(self._items) > self.max_depth:
-                self.max_depth = len(self._items)
-            if self._tracer is not None:
-                self._tracer.record("askfor", self._name, "put",
-                                    depth=len(self._items))
+            depth = self._append(item)
+            if self._probe is not None:
+                self._probe.event("askfor", self._name, "put",
+                                  depth=depth)
             if injector is None or \
                     not injector.swallow_notify("askfor.put", self._name):
-                self._condition.notify()
+                self._wake()
         if injector is not None:
             # Outside the lock: a fault here models a producer that
             # crashed right after publishing work.
@@ -116,95 +114,22 @@ class AskforMonitor:
         each worker alternates get/process.  Queued items are drained
         even after termination was declared, so nothing is dropped.
         """
-        tracer = self._tracer
         with self._condition:
-            if self._holders_includes_me():
-                self._holders -= 1
-                self._release_me()
-                self._condition.notify_all()
-            wait_started: float | None = None
-            while True:
-                if self._cancel is not None:
-                    self._cancel.check()
-                if self._items:
-                    self._holders += 1
-                    self._mark_me_holder()
-                    self.total_got += 1
-                    item = self._items.popleft()
-                    if tracer is not None:
-                        self._trace_wait_end(wait_started)
-                        tracer.record("askfor", self._name, "got",
-                                      depth=len(self._items))
-                    break
-                if self._done or self._holders == 0:
-                    self._done = True
-                    self._condition.notify_all()
-                    if tracer is not None:
-                        self._trace_wait_end(wait_started)
-                        tracer.record("askfor", self._name, "terminated")
-                    return False, None
-                if tracer is not None and wait_started is None:
-                    wait_started = monotonic()
-                    tracer.mark_parked("askfor", self._name)
-                self._wait_for_change()
-        if self._injector is not None:
+            self._release_mine()
+            self._check()
+            probe = self._probe
+            if probe is not None:
+                got, item = probe.askfor_get(self)
+            else:
+                if not self._ready():
+                    self._await_ready()
+                got, item = self._take()
+        if got and self._injector is not None:
             # Outside the lock, after the item was handed out: a
             # ``die`` here kills the worker *mid-chunk*, stranding the
             # holder count — the case dead-holder detection covers.
             self._injector.fire("askfor.got", self._name)
-        return True, item
-
-    def _wait_for_change(self) -> None:
-        """Block (condition held) until the pool state may have moved.
-
-        Cancel-aware waits revalidate periodically and run the
-        dead-holder hazard, so a lost wakeup or a worker that died
-        holding an item cannot hang the termination protocol.
-        """
-        if self._cancel is None:
-            self._condition.wait()
-            return
-        self._cancel.wait_for(
-            self._condition,
-            lambda: bool(self._items) or self._done or self._holders == 0,
-            what=self._describe(),
-            hazard=self._dead_holder_hazard)
-
-    def _dead_holder_hazard(self) -> ForceWorkerDied | None:
-        """A holder thread that died strands the pool: poison it."""
-        for ident, thread in list(self._holder_threads.items()):
-            if not thread.is_alive():
-                del self._holder_threads[ident]
-                self._holders -= 1
-                if self._tracer is not None:
-                    self._tracer.record("askfor", self._name,
-                                        "dead-holder",
-                                        proc=_me_of_thread(thread))
-                return ForceWorkerDied(
-                    _me_of_thread(thread), self._describe(),
-                    detail="died while holding a work item")
-        return None
-
-    def _trace_wait_end(self, wait_started: float | None) -> None:
-        """Close an open blocked-wait span (tracer known present)."""
-        if wait_started is None:
-            return
-        tracer = self._tracer
-        tracer.clear_parked()
-        waited = monotonic() - wait_started
-        tracer.record("askfor", self._name, "wait", phase="X",
-                      ts=tracer.now() - waited, dur=waited)
-
-    # -- holder tracking (thread-identity based) -----------------------
-    def _mark_me_holder(self) -> None:
-        self._holder_threads[threading.get_ident()] = \
-            threading.current_thread()
-
-    def _holders_includes_me(self) -> bool:
-        return threading.get_ident() in self._holder_threads
-
-    def _release_me(self) -> None:
-        self._holder_threads.pop(threading.get_ident(), None)
+        return got, item
 
     def __iter__(self) -> Iterator[Any]:
         """Iterate work items until global termination."""
@@ -213,3 +138,75 @@ class AskforMonitor:
             if not got:
                 return
             yield item
+
+    # -- the pool protocol (condition held) ----------------------------
+    def _append(self, item: Any) -> int:
+        """Queue ``item``; returns the new depth."""
+        if self._done:
+            raise ForceError("putwork after the pool terminated")
+        self._items.append(item)
+        self.total_put += 1
+        if len(self._items) > self.max_depth:
+            self.max_depth = len(self._items)
+        return len(self._items)
+
+    def _wake(self) -> None:
+        self._condition.notify()
+
+    def _release_mine(self) -> None:
+        """The caller's previous item (if any) is complete."""
+        if self._holder_threads.pop(threading.get_ident(), None) \
+                is not None:
+            self._holders -= 1
+            self._condition.notify_all()
+
+    def _check(self) -> None:
+        if self._cancel is not None:
+            self._cancel.check()
+
+    def _depth(self) -> int:
+        return len(self._items)
+
+    def _ready(self) -> bool:
+        """Work is queued, or the pool has terminated."""
+        return bool(self._items) or self._done or self._holders == 0
+
+    def _await_ready(self) -> None:
+        """Block until :meth:`_ready`.
+
+        Cancel-aware waits revalidate periodically and run the
+        dead-holder hazard, so a lost wakeup or a worker that died
+        holding an item cannot hang the termination protocol.
+        """
+        if self._cancel is None:
+            self._condition.wait_for(self._ready)
+            return
+        self._cancel.wait_for(self._condition, self._ready,
+                              what=self._describe(),
+                              hazard=self._dead_holder_hazard)
+
+    def _take(self) -> tuple[bool, Any]:
+        """Hand out the next item, or declare termination (ready)."""
+        if self._items:
+            self._holders += 1
+            self._holder_threads[threading.get_ident()] = \
+                threading.current_thread()
+            self.total_got += 1
+            return True, self._items.popleft()
+        self._done = True
+        self._condition.notify_all()
+        return False, None
+
+    def _dead_holder_hazard(self) -> ForceWorkerDied | None:
+        """A holder thread that died strands the pool: poison it."""
+        for ident, thread in list(self._holder_threads.items()):
+            if not thread.is_alive():
+                del self._holder_threads[ident]
+                self._holders -= 1
+                if self._probe is not None:
+                    self._probe.event("askfor", self._name, "dead-holder",
+                                      proc=_me_of_thread(thread))
+                return ForceWorkerDied(
+                    _me_of_thread(thread), self._describe(),
+                    detail="died while holding a work item")
+        return None

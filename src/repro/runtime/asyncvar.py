@@ -16,18 +16,17 @@ Variables created through a :class:`~repro.runtime.force.Force` carry
 the force's :class:`~repro.runtime.cancel.CancelToken`, so a wait for a
 partner that died raises ``ForceCancelled`` instead of hanging (and
 waits revalidate their predicate periodically, so a lost wakeup delays
-a waiter by at most one revalidation slice rather than forever), an
-optional ``on_block`` hook that reports time spent blocked (the stats
-layer's asyncvar blocked-time metric), and an optional
-:class:`~repro.trace.collector.TraceCollector` that records every
-blocked ``produce``/``consume``/``copy`` as a complete trace span and
-marks the waiter parked for the stall watchdog.
+a waiter by at most one revalidation slice rather than forever), and
+the force's :class:`~repro.runtime.probe.Probe` when it observes the
+run: every blocked ``produce``/``consume``/``copy`` is a probe site —
+blocked time for stats and metrics, a complete trace span, the waiter
+marked parked for the stall watchdog.  The process backend's
+shared-memory variable reuses these operations over its arena cells.
 """
 
 from __future__ import annotations
 
 import threading
-from time import monotonic
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro._util.errors import ForceError
@@ -35,27 +34,25 @@ from repro.runtime.cancel import CancelToken
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.trace.collector import TraceCollector
+    from repro.runtime.probe import Probe
 
 
 class AsyncVariable:
     """One full/empty cell."""
 
-    __slots__ = ("_value", "_full", "_condition", "_cancel", "_on_block",
-                 "_tracer", "_injector", "_name")
+    __slots__ = ("_value", "_full", "_condition", "_cancel", "_probe",
+                 "_injector", "_name")
 
     def __init__(self, value: Any = None, *, full: bool = False,
                  cancel: CancelToken | None = None,
-                 on_block: Callable[[float], None] | None = None,
-                 tracer: "TraceCollector | None" = None,
+                 probe: "Probe | None" = None,
                  injector: "FaultInjector | None" = None,
                  name: str = "") -> None:
         self._value = value
         self._full = full
         self._condition = threading.Condition()
         self._cancel = cancel
-        self._on_block = on_block
-        self._tracer = tracer
+        self._probe = probe
         self._injector = injector
         self._name = name
         if cancel is not None:
@@ -83,36 +80,28 @@ class AsyncVariable:
     def _await(self, predicate: Callable[[], bool],
                timeout: float | None, failure: str,
                op: str = "wait") -> None:
-        """Wait (condition held) until predicate; cancel-, stats- and
-        trace-aware.  The hooks fire only when the caller actually
-        blocked, so a fast-path produce/consume records nothing."""
+        """Wait (condition held) until predicate.  Only a wait that
+        actually blocks is a probe site, so a fast-path
+        produce/consume records nothing."""
         if predicate():
             return
-        tracer = self._tracer
-        observed = self._on_block is not None or tracer is not None
-        started = monotonic() if observed else 0.0
-        if tracer is not None:
-            tracer.mark_parked("asyncvar", self._name)
-        try:
-            if self._cancel is None:
-                satisfied = self._condition.wait_for(predicate,
-                                                     timeout=timeout)
-            else:
-                what = f"asyncvar '{self._name}'" if self._name \
-                    else "asyncvar"
-                satisfied = self._cancel.wait_for(self._condition,
-                                                  predicate, timeout,
-                                                  what=what)
-            if not satisfied:
-                raise ForceError(failure)
-        finally:
-            if tracer is not None:
-                tracer.clear_parked()
-                waited = monotonic() - started
-                tracer.record("asyncvar", self._name, op, phase="X",
-                              ts=tracer.now() - waited, dur=waited)
-            if self._on_block is not None:
-                self._on_block(monotonic() - started)
+        probe = self._probe
+        if probe is None:
+            satisfied = self._wait(predicate, timeout)
+        else:
+            satisfied = probe.wait("asyncvar", self._name, self._wait,
+                                   predicate, timeout, op=op)
+        if not satisfied:
+            raise ForceError(failure)
+
+    def _wait(self, predicate: Callable[[], bool],
+              timeout: float | None) -> bool:
+        """Block (condition held); cancel-aware when a token is set."""
+        if self._cancel is None:
+            return self._condition.wait_for(predicate, timeout=timeout)
+        what = f"asyncvar '{self._name}'" if self._name else "asyncvar"
+        return self._cancel.wait_for(self._condition, predicate, timeout,
+                                     what=what)
 
     def produce(self, value: Any, *, timeout: float | None = None) -> None:
         """Wait for empty, write ``value``, set full."""
@@ -159,14 +148,13 @@ class AsyncArray:
 
     def __init__(self, size: int, *,
                  cancel: CancelToken | None = None,
-                 on_block: Callable[[float], None] | None = None,
-                 tracer: "TraceCollector | None" = None,
+                 probe: "Probe | None" = None,
                  injector: "FaultInjector | None" = None,
                  name: str = "") -> None:
         if size <= 0:
             raise ForceError("AsyncArray size must be positive")
-        self._cells = [AsyncVariable(cancel=cancel, on_block=on_block,
-                                     tracer=tracer, injector=injector,
+        self._cells = [AsyncVariable(cancel=cancel, probe=probe,
+                                     injector=injector,
                                      name=f"{name}[{index}]" if name
                                      else "")
                        for index in range(size)]

@@ -16,12 +16,17 @@ askfor ``get``, async-variable wait) wake promptly with
 Observability: ``Force(nproc, stats=True)`` records per-construct
 counters and wait times (see :mod:`repro.runtime.stats`), exposed via
 :attr:`Force.stats` / :meth:`Force.stats_report`.  ``Force(nproc,
-trace=True)`` additionally records a structured event stream (see
+trace=True)`` records a structured event stream (see
 :mod:`repro.trace`) — barrier episodes, critical wait/hold spans,
 selfscheduled chunks, askfor traffic, full/empty blocking — exported
 via :meth:`Force.trace_events` to Chrome-trace/JSONL/text; with
 ``watchdog_interval=seconds`` a stall watchdog reports which process
 is parked on which construct whenever the stream goes quiet.
+``metrics=True`` fills a metrics registry.  All three sit behind one
+:class:`~repro.runtime.probe.Probe` (None when all are off): each
+interception point makes one ``probe is None`` test, and the
+constructs' instrumentation lives here once, for both backends — the
+process backend supplies only its wait primitives.
 
 Robustness: ``Force(nproc, construct_timeout=seconds)`` bounds every
 *blocking construct wait* — a process parked longer raises a
@@ -29,7 +34,7 @@ structured :class:`~repro._util.errors.ForceDeadlockError` naming the
 construct (and poisons the force) instead of hanging until the global
 join timeout.  ``Force(nproc, inject=FaultPlan(...))`` arms the
 deterministic fault injector (see :mod:`repro.faults`) at the same
-interception points the stats/trace hooks use; a process killed by an
+interception points the probe uses; a process killed by an
 injected ``die`` fault is detected by askfor/selfsched peers, which
 poison the force with :class:`~repro._util.errors.ForceWorkerDied`
 naming the dead process and the stranded construct.
@@ -53,7 +58,7 @@ from repro._util.errors import (
 )
 from repro.faults.injector import FaultInjector, InjectedDeath
 from repro.faults.plan import FaultPlan
-from repro.obsv.metrics import ForceMetrics, MetricsRegistry
+from repro.obsv.metrics import MetricsRegistry
 from repro.runtime.askfor import AskforMonitor
 from repro.runtime.asyncvar import AsyncArray, AsyncVariable
 from repro.runtime.barriers import Barrier, make_barrier
@@ -76,6 +81,7 @@ from repro.runtime.checkpoint import (
     validate_checkpoint,
     write_checkpoint,
 )
+from repro.runtime.probe import LockWord, PoolTotals, Probe
 from repro.runtime.resolve import Resolve
 from repro.runtime.stats import ForceStats, render_stats
 from repro.trace.collector import TraceCollector
@@ -119,12 +125,15 @@ class _SelfschedLoop:
     ``break``s out of the generator early (``GeneratorExit``) still
     leaves the loop — otherwise ``_inside`` stays incremented and every
     later entry with the same label deadlocks.
+
+    :meth:`iterate` is written once over three primitives — ``_enter``,
+    ``_claim`` and ``_leave`` — that the process backend implements
+    over an arena record.
     """
 
     def __init__(self, nproc: int, *,
                  cancel: CancelToken | None = None,
-                 on_chunk: Callable[[int], None] | None = None,
-                 tracer: TraceCollector | None = None,
+                 probe: Probe | None = None,
                  injector: FaultInjector | None = None,
                  dead_check: Callable[[], list[int]] | None = None,
                  label: str = "",
@@ -138,8 +147,7 @@ class _SelfschedLoop:
         self._inside = 0
         self._next = 0
         self._cancel = cancel
-        self._on_chunk = on_chunk
-        self._tracer = tracer
+        self._probe = probe
         self._injector = injector
         self._dead_check = dead_check
         self._label = label
@@ -172,12 +180,19 @@ class _SelfschedLoop:
                                   what=self._describe(),
                                   hazard=self._dead_hazard)
 
-    def iterate(self, first: int, last: int, step: int) -> Iterator[int]:
-        if step == 0:
-            raise ForceError("selfsched step must be nonzero")
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.mark_parked("selfsched", self._label)
+    def _size(self, value: int, last: int, step: int) -> int:
+        """Indices the next chunk from ``value`` gets (0: exhausted)."""
+        if step > 0:
+            remaining = (last - value) // step + 1 if value <= last else 0
+        else:
+            remaining = (last - value) // step + 1 if value >= last else 0
+        if remaining <= 0:
+            return 0
+        size = max(1, remaining // self.nproc) \
+            if self.schedule == "guided" else self.chunk
+        return min(size, remaining)
+
+    def _enter(self, first: int) -> None:
         with self._condition:
             self._wait_for(lambda: self._phase == "entry")
             if self._inside == 0:
@@ -186,37 +201,45 @@ class _SelfschedLoop:
             if self._inside == self.nproc:
                 self._phase = "exit"
                 self._condition.notify_all()
-        if tracer is not None:
-            tracer.clear_parked()
+
+    def _claim(self, last: int, step: int) -> tuple[int, int] | None:
+        """The next chunk as (first index, size); None when done."""
+        with self._condition:
+            if self._cancel is not None:
+                self._cancel.check()
+            value = self._next
+            size = self._size(value, last, step)
+            if size == 0:
+                return None
+            self._next = value + size * step
+            return value, size
+
+    def _leave(self) -> None:
+        with self._condition:
+            self._wait_for(lambda: self._phase == "exit")
+            self._inside -= 1
+            if self._inside == 0:
+                self._phase = "entry"
+                self._condition.notify_all()
+
+    def iterate(self, first: int, last: int, step: int) -> Iterator[int]:
+        if step == 0:
+            raise ForceError("selfsched step must be nonzero")
+        probe = self._probe
+        if probe is None:
+            self._enter(first)
+        else:
+            probe.wait("selfsched", self._label, self._enter, first)
         try:
             while True:
-                with self._condition:
-                    if self._cancel is not None:
-                        self._cancel.check()
-                    value = self._next
-                    if step > 0:
-                        remaining = (last - value) // step + 1 \
-                            if value <= last else 0
-                    else:
-                        remaining = (last - value) // step + 1 \
-                            if value >= last else 0
-                    if remaining <= 0:
-                        break
-                    if self.schedule == "guided":
-                        size = max(1, remaining // self.nproc)
-                    else:
-                        size = self.chunk
-                    if size > remaining:
-                        size = remaining
-                    self._next = value + size * step
-                if self._on_chunk is not None:
-                    self._on_chunk(size)
-                if tracer is not None:
-                    tracer.record("selfsched", self._label, "chunk",
-                                  index=value, size=size)
+                claimed = self._claim(last, step)
+                if claimed is None:
+                    break
+                value, size = claimed
+                if probe is not None:
+                    probe.chunk(self._label, value, size)
                 if self._injector is not None:
-                    self._injector.fire("selfsched.chunk",
-                                        self._label)
+                    self._injector.fire("selfsched.chunk", self._label)
                 for offset in range(size):
                     yield value + offset * step
         finally:
@@ -225,40 +248,30 @@ class _SelfschedLoop:
                 # stranded entry/exit state is what the dead-worker
                 # hazard above must detect in the surviving processes.
                 pass
+            elif probe is None:
+                self._leave()
             else:
-                if tracer is not None:
-                    tracer.mark_parked("selfsched", self._label)
-                with self._condition:
-                    self._wait_for(lambda: self._phase == "exit")
-                    self._inside -= 1
-                    if self._inside == 0:
-                        self._phase = "entry"
-                        self._condition.notify_all()
-                if tracer is not None:
-                    tracer.clear_parked()
+                probe.wait("selfsched", self._label, self._leave)
 
 
-class _ChunkRecorder:
-    """Picklable ``on_chunk`` hook for selfscheduled loops.
+class _CriticalLock(LockWord):
+    """A named critical section's lock (thread backend)."""
 
-    A bound-method/closure pair would drag the whole ``Force`` (and its
-    thread locks) into any pickle of the loop state; this tiny object
-    carries only the stats sink and the label.
-    """
+    __slots__ = ("_lock", "_cancel", "_what")
 
-    __slots__ = ("stats", "label", "metrics")
+    def __init__(self, cancel: CancelToken, name: str) -> None:
+        self._lock = threading.Lock()
+        self._cancel = cancel
+        self._what = f"critical '{name}'"
 
-    def __init__(self, stats: ForceStats | None, label: str,
-                 metrics: ForceMetrics | None = None) -> None:
-        self.stats = stats
-        self.label = label
-        self.metrics = metrics
+    def try_acquire(self) -> bool:
+        return self._lock.acquire(blocking=False)
 
-    def __call__(self, size: int) -> None:
-        if self.stats is not None:
-            self.stats.record_selfsched_chunk(self.label, size)
-        if self.metrics is not None:
-            self.metrics.selfsched_chunk(self.label, size)
+    def acquire(self) -> None:
+        self._cancel.acquire(self._lock, what=self._what)
+
+    def release(self) -> None:
+        self._lock.release()
 
 
 class Force:
@@ -338,20 +351,19 @@ class Force:
         self._cancel = CancelToken(
             construct_timeout=self.construct_timeout,
             revalidate_interval=self.revalidate_interval)
-        self._stats: ForceStats | None = \
-            ForceStats(self.nproc) if self._stats_enabled else None
-        self._metrics: ForceMetrics | None = \
-            ForceMetrics() if self._metrics_enabled else None
-        self._tracer: TraceCollector | None = \
-            TraceCollector(self._trace_capacity) \
-            if self._trace_enabled else None
+        observed = self._stats_enabled or self._metrics_enabled \
+            or self._trace_enabled
+        self._probe: Probe | None = Probe(
+            self.nproc, stats=self._stats_enabled,
+            metrics=self._metrics_enabled, trace=self._trace_enabled,
+            trace_capacity=self._trace_capacity) if observed else None
         self._injector: FaultInjector | None = \
-            FaultInjector(self._fault_plan, tracer=self._tracer) \
+            FaultInjector(self._fault_plan, probe=self._probe) \
             if self._fault_plan is not None else None
         self._barrier: Barrier = make_barrier(self._barrier_algorithm,
                                               self.nproc,
                                               cancel=self._cancel)
-        self._criticals: dict[str, threading.Lock] = {}
+        self._criticals: dict[str, _CriticalLock] = {}
         self._shared: dict[str, Any] = {}
         self._loops: dict[str, _SelfschedLoop] = {}
         self._failures: list[ForceError] = []
@@ -374,8 +386,8 @@ class Force:
         this until its shared-memory arena is set up.
         """
         self._materialize_shared(self._restore_doc)
-        if self._tracer is not None:
-            self._tracer.record(
+        if self._probe is not None:
+            self._probe.event(
                 "recover", "checkpoint", "restore",
                 epoch=self._barrier_epoch,
                 snapshot_nproc=int(self._restore_doc["nproc"]),
@@ -395,48 +407,18 @@ class Force:
         """
         self._reset_state()
         token = self._cancel
-        tracer = self._tracer
 
         def body(me: int) -> None:
             self._local.me = me
-            if tracer is not None:
-                tracer.register_lane(f"force-{me}")
-                tracer.record("sched", f"force-{me}", "start")
             try:
-                program(self, me, *args)
-            except ForceCancelled:
-                pass   # a peer failed first; unwind quietly
-            except InjectedDeath as death:
-                # Abrupt injected death: the thread vanishes without
-                # poisoning the force or cleaning construct state —
-                # surviving processes must *detect* it (dead-holder /
-                # dead-partner hazards, construct deadlines).
-                with self._registry_lock:
-                    self._deaths[me] = death.spec.site
-                if tracer is not None:
-                    tracer.record("fault", death.spec.site, "death",
-                                  proc=me)
-            except (ForceDeadlockError, ForceWorkerDied) as exc:
-                # Structured runtime verdicts: already propagated via
-                # the token by whoever detected the condition; record
-                # unwrapped so Force.run re-raises them as-is.
-                with self._registry_lock:
-                    self._failures.append(exc)
-                token.cancel(exc)
-            except BaseException as exc:   # noqa: BLE001 - reported below
-                failure = ForceProgramError(me, exc)
-                with self._registry_lock:
-                    self._failures.append(failure)
-                token.cancel(failure)
+                self._run_member(me, program, args)
             finally:
-                if tracer is not None:
-                    tracer.record("sched", f"force-{me}", "end")
-                    tracer.release_lane()
                 self._local.me = None
 
         watchdog = None
-        if tracer is not None and self._watchdog_interval is not None:
-            watchdog = StallWatchdog(tracer, self._watchdog_interval,
+        if self._trace_enabled and self._watchdog_interval is not None:
+            watchdog = StallWatchdog(self._probe.tracer,
+                                     self._watchdog_interval,
                                      sink=self._watchdog_sink)
             watchdog.start()
         threads = [threading.Thread(target=body, args=(me,),
@@ -463,7 +445,8 @@ class Force:
         if failure is not None:
             raise failure
         if alive:
-            parked = tracer.parked() if tracer is not None else {}
+            parked = self._probe.tracer.parked() \
+                if self._trace_enabled else {}
             still = []
             for name in alive:
                 kind_name = parked.get(name)
@@ -491,6 +474,50 @@ class Force:
                 me_dead, self._deaths[me_dead],
                 detail="the run completed but the dead process's work "
                        "is missing")
+
+    def _run_member(self, me: int, program: Callable[..., Any],
+                    args: tuple) -> bool:
+        """Run one member's program; True iff it died an injected death.
+
+        The member's start and end are probe sites.  Its first failure
+        poisons the force through :meth:`_fail`; an injected death
+        vanishes without poisoning the force or cleaning construct
+        state — surviving processes must *detect* it (dead-holder /
+        dead-partner hazards, construct deadlines).
+        """
+        probe = self._probe
+        if probe is not None:
+            probe.start(me)
+        try:
+            program(self, me, *args)
+        except ForceCancelled:
+            pass   # a peer failed first; unwind quietly
+        except InjectedDeath as death:
+            self._record_death(me, death.spec.site)
+            if probe is not None:
+                probe.event("fault", death.spec.site, "death", proc=me)
+            return True
+        except (ForceDeadlockError, ForceWorkerDied) as exc:
+            # Structured runtime verdicts: already propagated by
+            # whoever detected the condition; recorded unwrapped so
+            # run() re-raises them as-is.
+            self._fail(exc)
+        except BaseException as exc:   # noqa: BLE001 - run() reports it
+            self._fail(ForceProgramError(me, exc))
+        finally:
+            if probe is not None:
+                probe.end(me)
+        return False
+
+    def _record_death(self, me: int, site: str) -> None:
+        with self._registry_lock:
+            self._deaths[me] = site
+
+    def _fail(self, error: ForceError) -> None:
+        """Record a member's failure and poison the force."""
+        with self._registry_lock:
+            self._failures.append(error)
+        self._cancel.cancel(error)
 
     def _current_me(self) -> int | None:
         """This thread's process id, inside :meth:`run` (else None)."""
@@ -574,12 +601,9 @@ class Force:
                                backend=self.backend,
                                constructs=self._capture_shared())
         path = write_checkpoint(self._checkpoint.dir, doc)
-        nbytes = os.path.getsize(path)
-        if self._tracer is not None:
-            self._tracer.record("checkpoint", os.path.basename(path),
-                                "write", epoch=epoch, bytes=nbytes)
-        if self._metrics is not None:
-            self._metrics.checkpoint_written(nbytes)
+        if self._probe is not None:
+            self._probe.checkpoint(os.path.basename(path), epoch,
+                                   os.path.getsize(path))
 
     @property
     def checkpoint_policy(self) -> CheckpointPolicy | None:
@@ -644,15 +668,13 @@ class Force:
                 obj = AsyncVariable(entry["value"],
                                     full=entry["full"],
                                     cancel=self._cancel,
-                                    on_block=self._asyncvar_hook(name),
-                                    tracer=self._tracer,
+                                    probe=self._probe,
                                     injector=self._injector,
                                     name=name)
             elif kind == "asyncarray":
                 cells = entry["cells"]
                 obj = AsyncArray(len(cells), cancel=self._cancel,
-                                 on_block=self._asyncvar_hook(name),
-                                 tracer=self._tracer,
+                                 probe=self._probe,
                                  injector=self._injector, name=name)
                 for cell, (full, value) in zip(obj._cells, cells):
                     cell._full = bool(full)
@@ -660,7 +682,7 @@ class Force:
             elif kind == "askfor":
                 obj = AskforMonitor(list(entry["items"]),
                                     cancel=self._cancel,
-                                    tracer=self._tracer,
+                                    probe=self._probe,
                                     injector=self._injector,
                                     name=name)
                 obj.total_put = int(entry["total_put"])
@@ -681,129 +703,62 @@ class Force:
         need a *valid* id, as each process owns distinct flag slots.
         """
         me = self._resolve_me(me)
-        injector = self._injector
-        if injector is not None:
-            injector.fire("barrier.entry", "barrier", me)
-        hook = self._episode_hook()
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
-            released = self._barrier.wait(me) if hook is None \
-                else self._run_episode(me, hook)
-            if injector is not None and released:
-                injector.fire("barrier.episode", "barrier", me)
-            return
-        if tracer is not None:
-            tracer.mark_parked("barrier", "barrier")
-        started = monotonic()
-        released = self._barrier.wait(me) if hook is None \
-            else self._run_episode(me, hook)
-        waited = monotonic() - started
-        if tracer is not None:
-            tracer.clear_parked()
-            tracer.record("barrier", "barrier", "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-            if released:
-                tracer.record("barrier", "barrier", "episode")
-        if stats is not None:
-            stats.record_barrier_wait(waited)
-            if released:
-                stats.record_barrier_episode()
-        if metrics is not None:
-            metrics.barrier(waited, released)
-        if injector is not None and released:
-            injector.fire("barrier.episode", "barrier", me)
+        if self._arrive(me, None) and self._injector is not None:
+            self._injector.fire("barrier.episode", "barrier", me)
 
     def barrier_section(self, me: int,
                         section: Callable[[], None]) -> None:
         """Barrier whose section runs exactly once, before release."""
-        me = self._resolve_me(me)
-        injector = self._injector
-        if injector is not None:
-            injector.fire("barrier.entry", "barrier", me)
+        self._arrive(self._resolve_me(me), section)
+
+    def _arrive(self, me: int,
+                section: Callable[[], None] | None) -> bool:
+        """One barrier arrival (a probe site); True iff this process
+        released the episode."""
+        if self._injector is not None:
+            self._injector.fire("barrier.entry", "barrier", me)
+        probe = self._probe
+        if probe is None:
+            return self._barrier_arrive(me, section)
+        return probe.barrier(self._barrier_arrive, me, section)
+
+    def _barrier_arrive(self, me: int,
+                        section: Callable[[], None] | None) -> bool:
+        """The backend's barrier wait: ``section`` (and any checkpoint
+        due) runs in one process before release; True in that one."""
         hook = self._episode_hook(section)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
-            self._barrier.run_section(me, hook)
-            return
+        if hook is None:
+            return self._barrier.wait(me)
+        return self._run_episode(me, hook)
 
-        def counted() -> None:
-            if stats is not None:
-                stats.record_barrier_episode()
-            if metrics is not None:
-                metrics.barrier_episode()
-            if tracer is not None:
-                tracer.record("barrier", "barrier", "episode")
-            hook()
-
-        if tracer is not None:
-            tracer.mark_parked("barrier", "barrier")
-        started = monotonic()
-        self._barrier.run_section(me, counted)
-        waited = monotonic() - started
-        if tracer is not None:
-            tracer.clear_parked()
-            tracer.record("barrier", "barrier", "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-        if stats is not None:
-            stats.record_barrier_wait(waited)
-        if metrics is not None:
-            metrics.barrier_wait(waited)
-
-    @contextmanager
-    def critical(self, name: str = "default"):
-        """Named critical section: mutual exclusion across the force."""
+    def _critical_lock(self, name: str) -> LockWord:
+        """The backend's lock word for critical section ``name``."""
         with self._registry_lock:
-            # Check-then-insert, NOT setdefault(name, threading.Lock()):
+            # Check-then-insert, NOT setdefault(name, _CriticalLock()):
             # setdefault evaluates its default eagerly, allocating (and
-            # discarding) a fresh Lock on every pass through an already
+            # discarding) a fresh lock on every pass through an already
             # -registered section — churn on the hot path, while holding
             # the registry lock.
             lock = self._criticals.get(name)
             if lock is None:
-                lock = threading.Lock()
+                lock = _CriticalLock(self._cancel, name)
                 self._criticals[name] = lock
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
+        return lock
+
+    @contextmanager
+    def critical(self, name: str = "default"):
+        """Named critical section: mutual exclusion across the force."""
+        lock = self._critical_lock(name)
         injector = self._injector
         if injector is not None:
             injector.fire("critical.acquire", name)
-        contended = False
-        waited = 0.0
-        timed = tracer is not None or metrics is not None
-        if not lock.acquire(blocking=False):
-            contended = True
-            if tracer is not None:
-                tracer.mark_parked("critical", name)
-            started = monotonic()
-            self._cancel.acquire(lock, what=f"critical '{name}'")
-            waited = monotonic() - started
-            if tracer is not None:
-                tracer.clear_parked()
-        held_from = monotonic() if timed else 0.0
-        try:
-            if stats is not None:
-                stats.record_critical(name, waited, contended)
+        probe = self._probe
+        with lock if probe is None else probe.lock("critical", name, lock):
             if injector is not None:
                 # Lock held: a delay here is a slow holder, a raise
                 # kills the holder (the lock is released on unwind).
                 injector.fire("critical.hold", name)
             yield
-        finally:
-            lock.release()
-            if timed:
-                held = monotonic() - held_from
-                if tracer is not None:
-                    if contended:
-                        tracer.record("critical", name, "wait",
-                                      phase="X",
-                                      ts=tracer.now() - held - waited,
-                                      dur=waited)
-                    tracer.record("critical", name, "hold", phase="X",
-                                  ts=tracer.now() - held, dur=held)
-                if metrics is not None:
-                    metrics.critical(name, waited, contended, held)
 
     # ------------------------------------------------------------------
     # work distribution
@@ -851,13 +806,8 @@ class Force:
         with self._registry_lock:
             loop = self._loops.get(label)
             if loop is None:
-                on_chunk = None
-                if self._stats is not None or self._metrics is not None:
-                    on_chunk = _ChunkRecorder(self._stats, label,
-                                              self._metrics)
                 loop = _SelfschedLoop(self.nproc, cancel=self._cancel,
-                                      on_chunk=on_chunk,
-                                      tracer=self._tracer,
+                                      probe=self._probe,
                                       injector=self._injector,
                                       dead_check=self._dead_workers,
                                       label=label,
@@ -900,7 +850,7 @@ class Force:
         """The named Askfor work pool (created on first use)."""
         return self._get_shared(
             name, lambda: AskforMonitor(initial, cancel=self._cancel,
-                                        tracer=self._tracer,
+                                        probe=self._probe,
                                         injector=self._injector,
                                         name=name))
 
@@ -924,8 +874,7 @@ class Force:
         """A named asynchronous (full/empty) variable."""
         return self._get_shared(
             name, lambda: AsyncVariable(cancel=self._cancel,
-                                        on_block=self._asyncvar_hook(name),
-                                        tracer=self._tracer,
+                                        probe=self._probe,
                                         injector=self._injector,
                                         name=name))
 
@@ -933,22 +882,9 @@ class Force:
         """A named array of full/empty cells."""
         return self._get_shared(
             name, lambda: AsyncArray(size, cancel=self._cancel,
-                                     on_block=self._asyncvar_hook(name),
-                                     tracer=self._tracer,
+                                     probe=self._probe,
                                      injector=self._injector,
                                      name=name))
-
-    def _asyncvar_hook(self, name: str) -> Callable[[float], None] | None:
-        stats, metrics = self._stats, self._metrics
-        if stats is None and metrics is None:
-            return None
-
-        def hook(seconds: float) -> None:
-            if stats is not None:
-                stats.record_asyncvar_block(name, seconds)
-            if metrics is not None:
-                metrics.asyncvar_block(name, seconds)
-        return hook
 
     def _get_shared(self, name: str, factory: Callable[[], Any]) -> Any:
         with self._registry_lock:
@@ -976,12 +912,12 @@ class Force:
     @property
     def trace_collector(self) -> TraceCollector | None:
         """The run's collector (None unless ``trace=True``)."""
-        return self._tracer
+        return None if self._probe is None else self._probe.tracer
 
     @property
     def trace_dropped(self) -> int:
         """Events lost to ring-buffer overflow (0 when trace is off)."""
-        return self._tracer.dropped if self._tracer is not None else 0
+        return self._probe.dropped if self._trace_enabled else 0
 
     @property
     def fault_plan(self) -> FaultPlan | None:
@@ -1000,23 +936,30 @@ class Force:
 
     def trace_events(self) -> list[TraceEvent]:
         """The recorded event stream, merged and time-ordered."""
-        if self._tracer is None:
+        if not self._trace_enabled:
             raise ForceError(
                 "trace collection is off; create Force(..., trace=True)")
-        return self._tracer.events()
+        return self._probe.events()
+
+    def _askfor_totals(self) -> list[PoolTotals]:
+        """Every askfor pool's totals (pools know them only at the end)."""
+        with self._registry_lock:
+            return [(name, obj.total_put, obj.total_got, obj.max_depth)
+                    for name, obj in self._shared.items()
+                    if isinstance(obj, AskforMonitor)]
+
+    @property
+    def _stats(self) -> ForceStats | None:
+        """Every process's stats folded into one (stats=True only)."""
+        if not self._stats_enabled:
+            return None
+        return self._probe.stats(self._askfor_totals())
 
     @property
     def stats(self) -> dict[str, Any] | None:
         """Snapshot of collected stats (None unless ``stats=True``)."""
-        if self._stats is None:
+        if not self._stats_enabled:
             return None
-        with self._registry_lock:
-            pools = [(name, obj) for name, obj in self._shared.items()
-                     if isinstance(obj, AskforMonitor)]
-        for name, pool in pools:
-            self._stats.record_askfor(name, total_put=pool.total_put,
-                                      total_got=pool.total_got,
-                                      max_depth=pool.max_depth)
         return self._stats.as_dict()
 
     def stats_report(self) -> str:
@@ -1035,15 +978,7 @@ class Force:
         totals after the run), and ``wall_s`` — when the caller timed
         the run — lands as ``force_run_wall_seconds``.
         """
-        if self._metrics is None:
+        if not self._metrics_enabled:
             raise ForceError(
                 "metrics collection is off; create Force(..., metrics=True)")
-        with self._registry_lock:
-            pools = [(name, obj) for name, obj in self._shared.items()
-                     if isinstance(obj, AskforMonitor)]
-        for name, pool in pools:
-            self._metrics.askfor(name, total_put=pool.total_put,
-                                 total_got=pool.total_got,
-                                 max_depth=pool.max_depth)
-        self._metrics.run_info(self.nproc, wall_s=wall_s)
-        return self._metrics.registry
+        return self._probe.registry(self._askfor_totals(), wall_s=wall_s)

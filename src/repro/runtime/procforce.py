@@ -23,7 +23,9 @@ The public API is the thread backend's, unchanged:
   original error;
 * ``construct_timeout`` bounds every blocking wait with a structured
   :class:`~repro._util.errors.ForceDeadlockError`;
-* stats and traces are collected per worker and merged in the parent;
+* stats, traces and metrics are collected per worker by the worker's
+  own probe and folded in the parent, which reads them exactly as the
+  thread backend does;
 * fault-injection sites fire at the same (site, name, occurrence)
   coordinates — hit counters live in the arena so the n-th occurrence
   is global across processes, exactly as the thread backend counts
@@ -48,7 +50,6 @@ import os
 import pickle
 import queue as queue_module
 import threading
-from contextlib import contextmanager
 from time import monotonic, sleep
 from typing import Any, Callable, Iterator
 
@@ -59,7 +60,7 @@ from repro._util.errors import (
     ForceError,
     ForceWorkerDied,
 )
-from repro.faults.injector import FaultInjector, InjectedDeath
+from repro.faults.injector import FaultInjector
 from repro.machines.memory import SharedArena, sweep_stale_arenas
 from repro.runtime.cancel import (
     REVALIDATE_CAP_FACTOR,
@@ -76,11 +77,10 @@ from repro.runtime.checkpoint import (
     counter_entry,
     decode_array,
 )
-from repro.runtime.force import Force, ForceProgramError
-from repro.obsv.metrics import ForceMetrics, MetricsRegistry
-from repro.runtime.stats import ForceStats
-from repro.trace.collector import TraceCollector
-from repro.trace.events import TraceEvent
+from repro.runtime.askfor import AskforMonitor
+from repro.runtime.asyncvar import AsyncArray, AsyncVariable
+from repro.runtime.force import Force, _SelfschedLoop
+from repro.runtime.probe import LockWord, PoolTotals
 
 #: maximum pickled size of the first-failure error (arena slot)
 _ERROR_CAPACITY = 65536
@@ -136,9 +136,9 @@ class _SharedHitInjector(FaultInjector):
     under the backend's cross-process bus lock.
     """
 
-    def __init__(self, plan, *, tracer=None,
+    def __init__(self, plan, *, probe=None,
                  hits: np.ndarray, fired: np.ndarray, bus) -> None:
-        super().__init__(plan, tracer=tracer)
+        super().__init__(plan, probe=probe)
         self._shared_hits = hits
         self._shared_fired = fired
         self._bus = bus
@@ -178,129 +178,52 @@ class _ShmCounter:
         self._cell[0] = new
 
 
-class _ShmAsyncVariable:
-    """Full/empty variable over [int64 flag, float64 value] cells."""
+class _ShmAsyncVariable(AsyncVariable):
+    """Full/empty variable over [int64 flag, float64 value] cells.
 
-    __slots__ = ("_force", "_name", "_flag", "_value")
+    The operations are :class:`AsyncVariable`'s, run under the bus
+    with the state read and written through the arena views.
+    """
+
+    __slots__ = ("_force", "_flag", "_cell")
 
     def __init__(self, force: "ProcessForce", name: str,
                  flag: np.ndarray, value: np.ndarray) -> None:
         self._force = force
         self._name = name
         self._flag = flag
-        self._value = value
-
-    def _fire(self, op: str) -> None:
-        injector = self._force._injector
-        if injector is not None:
-            injector.fire(f"asyncvar.{op}", self._name)
-
-    def _notify_all(self, op: str) -> None:
-        injector = self._force._injector
-        if injector is not None and \
-                injector.swallow_notify(f"asyncvar.{op}", self._name):
-            return
-        self._force._bus.notify_all()
+        self._cell = value
+        self._condition = force._bus
+        self._probe = force._probe
+        self._injector = force._injector
 
     @property
-    def isfull(self) -> bool:
-        with self._force._bus:
-            return bool(self._flag[0])
+    def _full(self) -> bool:
+        return bool(self._flag[0])
 
-    def _await(self, predicate: Callable[[], bool],
-               timeout: float | None, failure: str, op: str) -> None:
-        """Wait (bus held) until predicate; cancel/stats/trace aware."""
-        if predicate():
-            return
-        force = self._force
-        tracer = force._tracer
-        stats = force._stats
-        metrics = force._metrics
-        observed = stats is not None or tracer is not None \
-            or metrics is not None
-        started = monotonic() if observed else 0.0
-        if tracer is not None:
-            tracer.mark_parked("asyncvar", self._name)
-        try:
-            what = f"asyncvar '{self._name}'" if self._name \
-                else "asyncvar"
-            satisfied = force._await(predicate, what, timeout=timeout)
-            if not satisfied:
-                raise ForceError(failure)
-        finally:
-            if tracer is not None:
-                tracer.clear_parked()
-                waited = monotonic() - started
-                tracer.record("asyncvar", self._name, op, phase="X",
-                              ts=tracer.now() - waited, dur=waited)
-            if stats is not None:
-                stats.record_asyncvar_block(self._name,
-                                            monotonic() - started)
-            if metrics is not None:
-                metrics.asyncvar_block(self._name,
-                                       monotonic() - started)
+    @_full.setter
+    def _full(self, full: bool) -> None:
+        self._flag[0] = full
 
-    def produce(self, value: Any, *,
-                timeout: float | None = None) -> None:
-        self._fire("produce")
-        with self._force._bus:
-            self._await(lambda: not self._flag[0], timeout,
-                        "produce timed out (variable stayed full)",
-                        "produce")
-            self._value[0] = value
-            self._flag[0] = 1
-            self._notify_all("produce")
+    @property
+    def _value(self) -> float:
+        return self._cell[0].item()
 
-    def consume(self, *, timeout: float | None = None) -> float:
-        self._fire("consume")
-        with self._force._bus:
-            self._await(lambda: bool(self._flag[0]), timeout,
-                        "consume timed out (variable stayed empty)",
-                        "consume")
-            value = self._value[0].item()
-            self._flag[0] = 0
-            self._notify_all("consume")
-            return value
+    @_value.setter
+    def _value(self, value: Any) -> None:
+        self._cell[0] = value
 
-    def copy(self, *, timeout: float | None = None) -> float:
-        self._fire("copy")
-        with self._force._bus:
-            self._await(lambda: bool(self._flag[0]), timeout,
-                        "copy timed out (variable stayed empty)",
-                        "copy")
-            return self._value[0].item()
-
-    def void(self) -> None:
-        self._fire("void")
-        with self._force._bus:
-            self._flag[0] = 0
-            self._notify_all("void")
+    def _wait(self, predicate: Callable[[], bool],
+              timeout: float | None) -> bool:
+        what = f"asyncvar '{self._name}'" if self._name else "asyncvar"
+        return self._force._await(predicate, what, timeout=timeout)
 
 
-class _ShmAsyncArray:
+class _ShmAsyncArray(AsyncArray):
     """Array of full/empty cells over the arena."""
 
     def __init__(self, cells: list[_ShmAsyncVariable]) -> None:
         self._cells = cells
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __getitem__(self, index: int) -> _ShmAsyncVariable:
-        return self._cells[index]
-
-    def produce(self, index: int, value: Any, **kw) -> None:
-        self._cells[index].produce(value, **kw)
-
-    def consume(self, index: int, **kw) -> float:
-        return self._cells[index].consume(**kw)
-
-    def copy(self, index: int, **kw) -> float:
-        return self._cells[index].copy(**kw)
-
-    def void_all(self) -> None:
-        for cell in self._cells:
-            cell.void()
 
 
 # askfor control-word indices
@@ -308,15 +231,15 @@ _AF_HEAD, _AF_TAIL, _AF_DONE, _AF_PUT, _AF_GOT, _AF_DEPTH = range(6)
 _AF_CTRL = 8
 
 
-class _ShmAskforMonitor:
+class _ShmAskforMonitor(AskforMonitor):
     """Askfor monitor over a shared numeric ring.
 
-    Same termination/drain contract as
-    :class:`~repro.runtime.askfor.AskforMonitor`: ``get`` drains queued
-    items before declaring termination, a ``put`` after termination
-    raises, and a worker that dies holding an item is detected through
-    the pid table (dead-holder hazard) and poisons the force with
-    :class:`ForceWorkerDied`.
+    :class:`~repro.runtime.askfor.AskforMonitor`'s ``put``/``get``
+    over the arena: the same termination/drain contract — ``get``
+    drains queued items before declaring termination, a ``put`` after
+    termination raises, and a worker that dies holding an item is
+    detected through the pid table (dead-holder hazard) and poisons
+    the force with :class:`ForceWorkerDied`.
     """
 
     def __init__(self, force: "ProcessForce", name: str,
@@ -327,9 +250,9 @@ class _ShmAskforMonitor:
         self._ctrl = ctrl
         self._holder = holder
         self._ring = ring
-
-    def _describe(self) -> str:
-        return f"askfor '{self._name}'" if self._name else "askfor"
+        self._condition = force._bus
+        self._probe = force._probe
+        self._injector = force._injector
 
     # -- counters (shared, so every process sees the same totals) ------
     @property
@@ -344,78 +267,55 @@ class _ShmAskforMonitor:
     def max_depth(self) -> int:
         return int(self._ctrl[_AF_DEPTH])
 
+    # -- the pool protocol (bus held) ----------------------------------
     def _depth(self) -> int:
         return int(self._ctrl[_AF_TAIL] - self._ctrl[_AF_HEAD])
 
-    def put(self, item: float) -> None:
-        force = self._force
-        injector = force._injector
-        with force._bus:
-            if self._ctrl[_AF_DONE]:
-                raise ForceError("putwork after the pool terminated")
-            if self._depth() >= len(self._ring):
-                raise ForceError(
-                    f"askfor '{self._name}': shared ring full "
-                    f"({len(self._ring)} outstanding items)")
-            self._ring[int(self._ctrl[_AF_TAIL]) % len(self._ring)] = \
-                item
-            self._ctrl[_AF_TAIL] += 1
-            self._ctrl[_AF_PUT] += 1
-            if self._depth() > self._ctrl[_AF_DEPTH]:
-                self._ctrl[_AF_DEPTH] = self._depth()
-            if force._tracer is not None:
-                force._tracer.record("askfor", self._name, "put",
-                                     depth=self._depth())
-            if injector is None or \
-                    not injector.swallow_notify("askfor.put",
-                                                self._name):
-                force._bus.notify_all()
-        if injector is not None:
-            injector.fire("askfor.put", self._name)
+    def _append(self, item: float) -> int:
+        if self._ctrl[_AF_DONE]:
+            raise ForceError("putwork after the pool terminated")
+        if self._depth() >= len(self._ring):
+            raise ForceError(
+                f"askfor '{self._name}': shared ring full "
+                f"({len(self._ring)} outstanding items)")
+        self._ring[int(self._ctrl[_AF_TAIL]) % len(self._ring)] = item
+        self._ctrl[_AF_TAIL] += 1
+        self._ctrl[_AF_PUT] += 1
+        if self._depth() > self._ctrl[_AF_DEPTH]:
+            self._ctrl[_AF_DEPTH] = self._depth()
+        return self._depth()
 
-    def get(self) -> tuple[bool, Any]:
-        force = self._force
-        tracer = force._tracer
-        me = force._resolve_me(None)
-        with force._bus:
-            if self._holder[me - 1]:
-                self._holder[me - 1] = 0
-                force._bus.notify_all()
-            wait_started: float | None = None
-            while True:
-                force._check_poison()
-                if self._depth() > 0:
-                    self._holder[me - 1] = 1
-                    self._ctrl[_AF_GOT] += 1
-                    item = self._ring[int(self._ctrl[_AF_HEAD])
-                                      % len(self._ring)].item()
-                    self._ctrl[_AF_HEAD] += 1
-                    if tracer is not None:
-                        self._trace_wait_end(wait_started)
-                        tracer.record("askfor", self._name, "got",
-                                      depth=self._depth())
-                    break
-                if self._ctrl[_AF_DONE] or \
-                        int(self._holder.sum()) == 0:
-                    self._ctrl[_AF_DONE] = 1
-                    force._bus.notify_all()
-                    if tracer is not None:
-                        self._trace_wait_end(wait_started)
-                        tracer.record("askfor", self._name,
-                                      "terminated")
-                    return False, None
-                if tracer is not None and wait_started is None:
-                    wait_started = monotonic()
-                    tracer.mark_parked("askfor", self._name)
-                force._await(
-                    lambda: self._depth() > 0 or
-                    bool(self._ctrl[_AF_DONE]) or
-                    int(self._holder.sum()) == 0,
-                    self._describe(),
-                    hazard=self._dead_holder_hazard)
-        if force._injector is not None:
-            force._injector.fire("askfor.got", self._name)
-        return True, item
+    def _wake(self) -> None:
+        self._condition.notify_all()
+
+    def _release_mine(self) -> None:
+        me = self._force._resolve_me(None)
+        if self._holder[me - 1]:
+            self._holder[me - 1] = 0
+            self._condition.notify_all()
+
+    def _check(self) -> None:
+        self._force._check_poison()
+
+    def _ready(self) -> bool:
+        return self._depth() > 0 or bool(self._ctrl[_AF_DONE]) or \
+            int(self._holder.sum()) == 0
+
+    def _await_ready(self) -> None:
+        self._force._await(self._ready, self._describe(),
+                           hazard=self._dead_holder_hazard)
+
+    def _take(self) -> tuple[bool, Any]:
+        if self._depth() > 0:
+            self._holder[self._force._resolve_me(None) - 1] = 1
+            self._ctrl[_AF_GOT] += 1
+            item = self._ring[int(self._ctrl[_AF_HEAD])
+                              % len(self._ring)].item()
+            self._ctrl[_AF_HEAD] += 1
+            return True, item
+        self._ctrl[_AF_DONE] = 1
+        self._condition.notify_all()
+        return False, None
 
     def _dead_holder_hazard(self) -> ForceWorkerDied | None:
         """A holder process that died strands the pool: poison it."""
@@ -425,29 +325,13 @@ class _ShmAskforMonitor:
                 continue
             if other in force._dead_workers():
                 self._holder[other - 1] = 0
-                if force._tracer is not None:
-                    force._tracer.record("askfor", self._name,
-                                         "dead-holder", proc=other)
+                if self._probe is not None:
+                    self._probe.event("askfor", self._name, "dead-holder",
+                                      proc=other)
                 return ForceWorkerDied(
                     other, self._describe(),
                     detail="died while holding a work item")
         return None
-
-    def _trace_wait_end(self, wait_started: float | None) -> None:
-        if wait_started is None:
-            return
-        tracer = self._force._tracer
-        tracer.clear_parked()
-        waited = monotonic() - wait_started
-        tracer.record("askfor", self._name, "wait", phase="X",
-                      ts=tracer.now() - waited, dur=waited)
-
-    def __iter__(self) -> Iterator[Any]:
-        while True:
-            got, item = self.get()
-            if not got:
-                return
-            yield item
 
 
 # selfsched record indices
@@ -455,20 +339,24 @@ _SL_PHASE, _SL_INSIDE, _SL_NEXT, _SL_CHUNK, _SL_SCHED = range(5)
 _SL_WORDS = 8
 
 
-class _ShmSelfschedLoop:
+class _ShmSelfschedLoop(_SelfschedLoop):
     """Selfscheduled-loop protocol over an arena record.
 
-    Mirrors :class:`repro.runtime.force._SelfschedLoop` — entry phase,
-    shared-index dispatch, exit phase in a ``finally`` (skipped on
-    injected death by design, so peers detect the stranded protocol
-    through the dead-worker hazard).
+    :class:`repro.runtime.force._SelfschedLoop`'s ``iterate`` — entry
+    phase, shared-index dispatch, exit phase in a ``finally`` (skipped
+    on injected death by design, so peers detect the stranded protocol
+    through the dead-worker hazard) — over the bus and the record.
     """
 
     def __init__(self, force: "ProcessForce", label: str,
                  record: np.ndarray) -> None:
+        self.nproc = force.nproc
         self._force = force
         self._label = label
         self._record = record
+        self._probe = force._probe
+        self._injector = force._injector
+        self._dead_check = force._dead_workers
 
     @property
     def chunk(self) -> int:
@@ -478,95 +366,68 @@ class _ShmSelfschedLoop:
     def schedule(self) -> str:
         return _SCHEDULES[int(self._record[_SL_SCHED])]
 
-    def _describe(self) -> str:
-        return f"selfsched '{self._label}'" if self._label \
-            else "selfsched"
-
-    def _dead_hazard(self) -> ForceWorkerDied | None:
-        dead = self._force._dead_workers()
-        if dead:
-            return ForceWorkerDied(
-                min(dead), self._describe(),
-                detail="the loop protocol cannot complete")
-        return None
-
-    def iterate(self, first: int, last: int,
-                step: int) -> Iterator[int]:
-        if step == 0:
-            raise ForceError("selfsched step must be nonzero")
-        force = self._force
-        record = self._record
-        tracer = force._tracer
-        stats = force._stats
-        metrics = force._metrics
-        nproc = force.nproc
-        if tracer is not None:
-            tracer.mark_parked("selfsched", self._label)
+    def _enter(self, first: int) -> None:
+        force, record = self._force, self._record
         with force._bus:
             force._await(lambda: record[_SL_PHASE] == 0,
                          self._describe(), hazard=self._dead_hazard)
             if record[_SL_INSIDE] == 0:
                 record[_SL_NEXT] = first
             record[_SL_INSIDE] += 1
-            if record[_SL_INSIDE] == nproc:
+            if record[_SL_INSIDE] == self.nproc:
                 record[_SL_PHASE] = 1
                 force._bus.notify_all()
-        if tracer is not None:
-            tracer.clear_parked()
-        schedule = self.schedule
-        chunk = self.chunk
-        try:
-            while True:
-                with force._bus:
-                    force._check_poison()
-                    value = int(record[_SL_NEXT])
-                    if step > 0:
-                        remaining = (last - value) // step + 1 \
-                            if value <= last else 0
-                    else:
-                        remaining = (last - value) // step + 1 \
-                            if value >= last else 0
-                    if remaining <= 0:
-                        break
-                    if schedule == "guided":
-                        size = max(1, remaining // nproc)
-                    else:
-                        size = chunk
-                    if size > remaining:
-                        size = remaining
-                    record[_SL_NEXT] = value + size * step
-                if stats is not None:
-                    stats.record_selfsched_chunk(self._label, size)
-                if metrics is not None:
-                    metrics.selfsched_chunk(self._label, size)
-                if tracer is not None:
-                    tracer.record("selfsched", self._label, "chunk",
-                                  index=value, size=size)
-                if force._injector is not None:
-                    force._injector.fire("selfsched.chunk",
-                                         self._label)
-                for offset in range(size):
-                    yield value + offset * step
-        finally:
-            import sys
-            if isinstance(sys.exc_info()[1], InjectedDeath):
-                # Abrupt injected death: no cleanup by design — the
-                # surviving processes' dead-worker hazard must detect
-                # the stranded protocol.
-                pass
-            else:
-                if tracer is not None:
-                    tracer.mark_parked("selfsched", self._label)
-                with force._bus:
-                    force._await(lambda: record[_SL_PHASE] == 1,
-                                 self._describe(),
-                                 hazard=self._dead_hazard)
-                    record[_SL_INSIDE] -= 1
-                    if record[_SL_INSIDE] == 0:
-                        record[_SL_PHASE] = 0
-                        force._bus.notify_all()
-                if tracer is not None:
-                    tracer.clear_parked()
+
+    def _claim(self, last: int, step: int) -> tuple[int, int] | None:
+        force, record = self._force, self._record
+        with force._bus:
+            force._check_poison()
+            value = int(record[_SL_NEXT])
+            size = self._size(value, last, step)
+            if size == 0:
+                return None
+            record[_SL_NEXT] = value + size * step
+            return value, size
+
+    def _leave(self) -> None:
+        force, record = self._force, self._record
+        with force._bus:
+            force._await(lambda: record[_SL_PHASE] == 1,
+                         self._describe(), hazard=self._dead_hazard)
+            record[_SL_INSIDE] -= 1
+            if record[_SL_INSIDE] == 0:
+                record[_SL_PHASE] = 0
+                force._bus.notify_all()
+
+
+class _ShmLock(LockWord):
+    """A critical section's lock word in the arena, under the bus."""
+
+    __slots__ = ("_force", "_cell", "_what")
+
+    def __init__(self, force: "ProcessForce", cell: np.ndarray,
+                 name: str) -> None:
+        self._force = force
+        self._cell = cell
+        self._what = f"critical '{name}'"
+
+    def try_acquire(self) -> bool:
+        with self._force._bus:
+            self._force._check_poison()
+            if self._cell[0]:
+                return False
+            self._cell[0] = 1
+            return True
+
+    def acquire(self) -> None:
+        with self._force._bus:
+            self._force._await(lambda: self._cell[0] == 0, self._what)
+            self._cell[0] = 1
+
+    def release(self) -> None:
+        with self._force._bus:
+            self._cell[0] = 0
+            self._force._bus.notify_all()
 
 
 class ProcessForce(Force):
@@ -598,19 +459,15 @@ class ProcessForce(Force):
         self._queue = None
         self._procs: list = []
         self._proc_me: int | None = None
-        self._merged_events: list[TraceEvent] = []
         self._merged_injected: list = []
-        self._merged_metrics: MetricsRegistry | None = None
-        self._merged_dropped = 0
-        #: events recorded parent-side (e.g. the restore instant);
-        #: merged with the workers' streams in _absorb
-        self._parent_events: list[TraceEvent] = []
+        #: askfor pool totals, read off the arena before it is unlinked
+        self._pool_totals: list[PoolTotals] = []
         #: final-state snapshot captured just before the arena is
         #: unlinked (the arena does not outlive run())
         self._final_state_doc: dict[str, Any] | None = None
-        # In the parent, the thread-backend collectors built by
-        # super()._reset_state() are placeholders: workers build their
-        # own and the parent merges what they ship back.
+        # In the parent, the injector built by super()._reset_state()
+        # is a placeholder: each worker builds its own over the arena.
+        # The parent's probe is where the workers' probes are folded.
         self._injector = None
 
     def _setup_shared(self, ctx) -> None:
@@ -619,12 +476,6 @@ class ProcessForce(Force):
         self._arena = arena
         self._bus = ctx.Condition(ctx.RLock())
         self._queue = ctx.Queue()
-        # One trace epoch for the whole force, stamped pre-fork so
-        # every worker's collector shares the parent's time origin
-        # (fork inherits this attribute; each worker would otherwise
-        # zero its clock at its own construction time and the merged
-        # spans would start from per-process origins).
-        self._trace_epoch = monotonic()
         nproc = self.nproc
         self._poison_v = arena.alloc_view(2)        # [flag, errlen]
         self._error_off = arena.alloc(_ERROR_CAPACITY)
@@ -818,7 +669,7 @@ class ProcessForce(Force):
     # ------------------------------------------------------------------
     # constructs
     # ------------------------------------------------------------------
-    def _barrier_arrive(self,
+    def _barrier_arrive(self, me: int,
                         section: Callable[[], None] | None) -> bool:
         bar = self._barrier_v
         with self._bus:
@@ -855,14 +706,7 @@ class ProcessForce(Force):
         """
 
     def _apply_restore_arena(self) -> None:
-        self._materialize_shared(self._restore_doc)
-        if self._trace_enabled:
-            self._parent_events.append(TraceEvent(
-                ts=0.0, proc="main", kind="recover",
-                name="checkpoint", op="restore",
-                args={"epoch": self._barrier_epoch,
-                      "snapshot_nproc": int(self._restore_doc["nproc"]),
-                      "nproc": self.nproc}))
+        super()._apply_restore()
 
     @property
     def barrier_epoch(self) -> int:
@@ -971,15 +815,15 @@ class ProcessForce(Force):
         elif kind == "asyncvar":
             var = self.async_var(name)
             if entry["full"]:
-                var._value[0] = entry["value"]
-                var._flag[0] = 1
+                var._value = entry["value"]
+                var._full = True
         elif kind == "asyncarray":
             cells = entry["cells"]
             shadow = self.async_array(name, len(cells))
             for cell, (full, value) in zip(shadow._cells, cells):
                 if full:
-                    cell._value[0] = value
-                    cell._flag[0] = 1
+                    cell._value = value
+                    cell._full = True
         elif kind == "askfor":
             pool = self.askfor(name, initial=list(entry["items"]))
             ctrl = pool._ctrl
@@ -998,127 +842,10 @@ class ProcessForce(Force):
                 detail="the barrier episode cannot complete")
         return None
 
-    def barrier(self, me: int | None = None) -> None:
-        me = self._resolve_me(me)
-        injector = self._injector
-        if injector is not None:
-            injector.fire("barrier.entry", "barrier", me)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
-            released = self._barrier_arrive(None)
-            if injector is not None and released:
-                injector.fire("barrier.episode", "barrier", me)
-            return
-        if tracer is not None:
-            tracer.mark_parked("barrier", "barrier")
-        started = monotonic()
-        released = self._barrier_arrive(None)
-        waited = monotonic() - started
-        if tracer is not None:
-            tracer.clear_parked()
-            tracer.record("barrier", "barrier", "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-            if released:
-                tracer.record("barrier", "barrier", "episode")
-        if stats is not None:
-            stats.record_barrier_wait(waited)
-            if released:
-                stats.record_barrier_episode()
-        if metrics is not None:
-            metrics.barrier(waited, released)
-        if injector is not None and released:
-            injector.fire("barrier.episode", "barrier", me)
-
-    def barrier_section(self, me: int,
-                        section: Callable[[], None]) -> None:
-        me = self._resolve_me(me)
-        injector = self._injector
-        if injector is not None:
-            injector.fire("barrier.entry", "barrier", me)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        if stats is None and tracer is None and metrics is None:
-            self._barrier_arrive(section)
-            return
-
-        def counted() -> None:
-            if stats is not None:
-                stats.record_barrier_episode()
-            if tracer is not None:
-                tracer.record("barrier", "barrier", "episode")
-            if metrics is not None:
-                metrics.barrier_episode()
-            section()
-
-        if tracer is not None:
-            tracer.mark_parked("barrier", "barrier")
-        started = monotonic()
-        self._barrier_arrive(counted)
-        waited = monotonic() - started
-        if tracer is not None:
-            tracer.clear_parked()
-            tracer.record("barrier", "barrier", "wait", phase="X",
-                          ts=tracer.now() - waited, dur=waited)
-        if stats is not None:
-            stats.record_barrier_wait(waited)
-        if metrics is not None:
-            metrics.barrier_wait(waited)
-
-    def _critical_cell(self, name: str) -> np.ndarray:
+    def _critical_lock(self, name: str) -> _ShmLock:
         offset = self._locate(f"k:{name}", _K_CRITICAL,
                               lambda: self._arena.alloc(8))
-        cell = self._arena.view(offset, 1)
-        return cell
-
-    @contextmanager
-    def critical(self, name: str = "default"):
-        """Named critical section over a shared lock word."""
-        cell = self._critical_cell(name)
-        stats, tracer = self._stats, self._tracer
-        metrics = self._metrics
-        injector = self._injector
-        if injector is not None:
-            injector.fire("critical.acquire", name)
-        contended = False
-        waited = 0.0
-        timed = tracer is not None or metrics is not None
-        with self._bus:
-            self._check_poison()
-            if cell[0]:
-                contended = True
-                if tracer is not None:
-                    tracer.mark_parked("critical", name)
-                started = monotonic()
-                self._await(lambda: cell[0] == 0,
-                            f"critical '{name}'")
-                waited = monotonic() - started
-                if tracer is not None:
-                    tracer.clear_parked()
-            cell[0] = 1
-        held_from = monotonic() if timed else 0.0
-        try:
-            if stats is not None:
-                stats.record_critical(name, waited, contended)
-            if injector is not None:
-                injector.fire("critical.hold", name)
-            yield
-        finally:
-            with self._bus:
-                cell[0] = 0
-                self._bus.notify_all()
-            if timed:
-                held = monotonic() - held_from
-                if tracer is not None:
-                    if contended:
-                        tracer.record("critical", name, "wait",
-                                      phase="X",
-                                      ts=tracer.now() - held - waited,
-                                      dur=waited)
-                    tracer.record("critical", name, "hold", phase="X",
-                                  ts=tracer.now() - held, dur=held)
-                if metrics is not None:
-                    metrics.critical(name, waited, contended, held)
+        return _ShmLock(self, self._arena.view(offset, 1), name)
 
     def selfsched_range(self, label: str, first: int, last: int,
                         step: int = 1, *, chunk: int = 1,
@@ -1386,47 +1113,20 @@ class ProcessForce(Force):
                 return
 
     def _absorb(self, payloads: list) -> None:
-        """Merge worker stats/trace/injection payloads in the parent."""
-        if self._stats_enabled:
-            merged = ForceStats(self.nproc)
-            for payload in payloads:
-                stats_dict = payload[1]
-                if stats_dict:
-                    merged.merge(ForceStats.from_dict(stats_dict))
-            for key, offset in self._registry_entries(_K_ASKFOR):
-                ctrl = self._arena.view(offset, _AF_CTRL)
-                merged.record_askfor(
-                    key[2:],    # strip the "s:" namespace prefix
-                    total_put=int(ctrl[_AF_PUT]),
-                    total_got=int(ctrl[_AF_GOT]),
-                    max_depth=int(ctrl[_AF_DEPTH]))
-            self._stats = merged
-        if self._metrics_enabled:
-            facade = ForceMetrics()
-            for payload in payloads:
-                metrics_doc = payload[4]
-                if metrics_doc:
-                    facade.registry.load_dict(metrics_doc)
-            # Askfor gauges live in the arena (every worker sees the
-            # same totals); settle them once, parent-side.
-            for key, offset in self._registry_entries(_K_ASKFOR):
-                ctrl = self._arena.view(offset, _AF_CTRL)
-                facade.askfor(key[2:],
-                              total_put=int(ctrl[_AF_PUT]),
-                              total_got=int(ctrl[_AF_GOT]),
-                              max_depth=int(ctrl[_AF_DEPTH]))
-            self._merged_metrics = facade.registry
-        self._merged_dropped = sum(payload[5] for payload in payloads)
-        events: list[TraceEvent] = list(self._parent_events)
+        """Fold the workers' probe payloads and fault records."""
+        self._pool_totals = []
+        for key, offset in self._registry_entries(_K_ASKFOR):
+            ctrl = self._arena.view(offset, _AF_CTRL)
+            self._pool_totals.append((
+                key[2:],    # strip the "s:" namespace prefix
+                int(ctrl[_AF_PUT]), int(ctrl[_AF_GOT]),
+                int(ctrl[_AF_DEPTH])))
         injected: list = []
-        for payload in sorted(payloads, key=lambda p: p[0]):
-            event_dicts, records = payload[2], payload[3]
-            if event_dicts:
-                events.extend(TraceEvent.from_dict(data)
-                              for data in event_dicts)
-            if records:
-                injected.extend(records)
-        self._merged_events = sorted(events, key=lambda e: e.ts)
+        for _me, shipped, records in sorted(payloads,
+                                            key=lambda p: p[0]):
+            if shipped is not None:
+                self._probe.absorb(shipped)
+            injected.extend(records)
         self._merged_injected = injected
 
     def _worker(self, me: int, program: Callable[..., Any],
@@ -1439,63 +1139,34 @@ class ProcessForce(Force):
         self._shared = {}
         self._criticals = {}
         self._loops = {}
-        self._stats = ForceStats(self.nproc) \
-            if self._stats_enabled else None
-        self._tracer = TraceCollector(self._trace_capacity,
-                                      epoch=self._trace_epoch) \
-            if self._trace_enabled else None
-        self._metrics = ForceMetrics() if self._metrics_enabled \
-            else None
-        self._injector = None
+        if self._probe is not None:
+            self._probe = self._probe.child()
         if self._fault_plan is not None:
             self._injector = _SharedHitInjector(
-                self._fault_plan, tracer=self._tracer,
+                self._fault_plan, probe=self._probe,
                 hits=self._fault_hits, fired=self._fault_fired,
                 bus=self._bus)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.register_lane(f"force-{me}")
-            tracer.record("sched", f"force-{me}", "start")
-        died = False
-        try:
-            program(self, me, *args)
-        except ForceCancelled:
-            pass   # a peer failed first; unwind quietly
-        except InjectedDeath as death:
-            site = death.spec.site.encode("ascii", "replace")
-            self._deaths_v[me - 1] = site[:_SITE_BYTES - 1] or b"?"
-            if tracer is not None:
-                tracer.record("fault", death.spec.site, "death",
-                              proc=me)
-            died = True
-        except (ForceDeadlockError, ForceWorkerDied) as exc:
-            self._poison(exc)
-        except BaseException as exc:   # noqa: BLE001 - reported above
-            self._poison(ForceProgramError(me, exc))
-        finally:
-            if tracer is not None:
-                tracer.record("sched", f"force-{me}", "end")
-                tracer.release_lane()
+        died = self._run_member(me, program, args)
         self._ship(me)
         if died:
             os._exit(0)
 
+    def _record_death(self, me: int, site: str) -> None:
+        encoded = site.encode("ascii", "replace")
+        self._deaths_v[me - 1] = encoded[:_SITE_BYTES - 1] or b"?"
+
+    def _fail(self, error: ForceError) -> None:
+        self._poison(error)
+
     def _ship(self, me: int) -> None:
-        """Send this worker's observability payload to the parent."""
-        stats_dict = self._stats.as_dict() \
-            if self._stats is not None else None
-        event_dicts = [event.as_dict()
-                       for event in self._tracer.events()] \
-            if self._tracer is not None else None
-        dropped = self._tracer.dropped \
-            if self._tracer is not None else 0
-        metrics_doc = self._metrics.registry.as_dict() \
-            if self._metrics is not None else None
+        """Send this worker's probe payload and fault records to the
+        parent."""
+        probe = self._probe
         records = list(self._injector.injected) \
             if self._injector is not None else []
         try:
-            self._queue.put((me, stats_dict, event_dicts, records,
-                             metrics_doc, dropped))
+            self._queue.put((me, None if probe is None
+                             else probe.payload(), records))
             self._queue.close()
             self._queue.join_thread()
         except Exception:       # pragma: no cover - queue torn down
@@ -1506,35 +1177,8 @@ class ProcessForce(Force):
     # ------------------------------------------------------------------
     # observability (parent side)
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> dict[str, Any] | None:
-        if self._stats is None:
-            return None
-        return self._stats.as_dict()
-
-    def trace_events(self) -> list[TraceEvent]:
-        if not self._trace_enabled:
-            raise ForceError(
-                "trace collection is off; create Force(..., "
-                "trace=True)")
-        return list(self._merged_events)
-
-    @property
-    def trace_dropped(self) -> int:
-        return self._merged_dropped
-
-    def metrics_registry(self, *,
-                         wall_s: float | None = None) -> MetricsRegistry:
-        if not self._metrics_enabled:
-            raise ForceError(
-                "metrics collection is off; create Force(..., "
-                "metrics=True)")
-        registry = self._merged_metrics
-        if registry is None:        # run() never happened
-            registry = MetricsRegistry()
-            self._merged_metrics = registry
-        ForceMetrics(registry).run_info(self.nproc, wall_s=wall_s)
-        return registry
+    def _askfor_totals(self) -> list[PoolTotals]:
+        return self._pool_totals
 
     def injected_faults(self):
         return list(self._merged_injected)

@@ -1,9 +1,11 @@
 """Runtime instrumentation for the native Force (opt-in).
 
-``Force(nproc, stats=True)`` threads a :class:`ForceStats` collector
-through the same interception points the cancellation layer uses, in
-the spirit of the barrier/lock cost methodology of Mellor-Crummey &
-Scott: per-construct counters and wait-time accumulators —
+``Force(nproc, stats=True)`` gives every Force process a
+:class:`ForceStats` count reducer, fed by the run's
+:class:`~repro.runtime.probe.Probe` from the same call that writes the
+trace and the metrics, in the spirit of the barrier/lock cost
+methodology of Mellor-Crummey & Scott: per-construct counters and
+wait-time accumulators —
 
 * barrier episodes completed, per-process wait times and their spread;
 * critical-section acquisitions and contention per section name;
@@ -11,7 +13,9 @@ Scott: per-construct counters and wait-time accumulators —
 * Askfor pool traffic (``total_put``/``total_got``/max queue depth);
 * asynchronous-variable blocked events and blocked time per name.
 
-The collector is a plain dict away (:meth:`ForceStats.as_dict`) and
+Each reducer has a single writer, so recording takes no lock; reads
+fold the per-process reducers with :meth:`ForceStats.merge`.  The
+folded collector is a plain dict away (:meth:`ForceStats.as_dict`) and
 rendered by :func:`render_stats`, which the ``force run --stats`` CLI
 shares with compiled-program simulation statistics so both execution
 paths report through one format.
@@ -19,7 +23,6 @@ paths report through one format.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 
@@ -82,92 +85,73 @@ class WaitStat:
 
 
 class ForceStats:
-    """Per-construct counters for one :class:`Force`.
+    """Per-construct counters: one Force process's count reducer.
 
-    All record methods are thread-safe; the runtime only calls them
-    when stats collection is enabled, so the ``stats=False`` path pays
-    a single ``is None`` test per interception point.
+    The reducer methods share their signatures with
+    :class:`~repro.obsv.metrics.ForceMetrics`, so the probe feeds both
+    from one call.  Not thread-safe: each process writes its own
+    instance and readers :meth:`merge` them.
     """
 
     def __init__(self, nproc: int) -> None:
         self.nproc = nproc
-        self._lock = threading.Lock()
         self.barrier_episodes = 0
         self.barrier_wait = WaitStat()
         self.criticals: dict[str, dict[str, Any]] = {}
         self.selfsched_chunks: dict[str, dict[str, int]] = {}
-        self.askfor: dict[str, dict[str, int]] = {}
+        self.pools: dict[str, dict[str, int]] = {}
         self.asyncvar: dict[str, WaitStat] = {}
 
-    # -- barriers ------------------------------------------------------
-    def record_barrier_wait(self, seconds: float) -> None:
-        with self._lock:
-            self.barrier_wait.record(seconds)
-
-    def record_barrier_episode(self) -> None:
-        with self._lock:
+    def barrier(self, waited: float, released: bool) -> None:
+        """One arrival; ``released`` when it completed the episode."""
+        self.barrier_wait.record(waited)
+        if released:
             self.barrier_episodes += 1
 
-    # -- critical sections ---------------------------------------------
-    def record_critical(self, name: str, waited: float,
-                        contended: bool) -> None:
-        with self._lock:
-            entry = self.criticals.get(name)
-            if entry is None:
-                entry = {"acquisitions": 0, "contended": 0,
-                         "wait": WaitStat()}
-                self.criticals[name] = entry
-            entry["acquisitions"] += 1
-            if contended:
-                entry["contended"] += 1
-                entry["wait"].record(waited)
+    def critical(self, name: str, waited: float, contended: bool,
+                 held: float) -> None:
+        """One critical-section round (hold time is a metrics fact)."""
+        entry = self.criticals.get(name)
+        if entry is None:
+            entry = {"acquisitions": 0, "contended": 0,
+                     "wait": WaitStat()}
+            self.criticals[name] = entry
+        entry["acquisitions"] += 1
+        if contended:
+            entry["contended"] += 1
+            entry["wait"].record(waited)
 
-    # -- selfscheduled loops -------------------------------------------
-    def record_selfsched_chunk(self, label: str, size: int = 1) -> None:
+    def selfsched_chunk(self, label: str, size: int) -> None:
         """One chunk dispatch of ``size`` indices.
 
         A chunk costs one critical-section acquisition regardless of
         its size, so ``chunks`` counts lock traffic while ``indices``
         counts work handed out — the ratio is the dispatch granularity.
         """
-        with self._lock:
-            entry = self.selfsched_chunks.get(label)
-            if entry is None:
-                entry = {"chunks": 0, "indices": 0, "max_chunk": 0}
-                self.selfsched_chunks[label] = entry
-            entry["chunks"] += 1
-            entry["indices"] += size
-            if size > entry["max_chunk"]:
-                entry["max_chunk"] = size
+        entry = self.selfsched_chunks.get(label)
+        if entry is None:
+            entry = {"chunks": 0, "indices": 0, "max_chunk": 0}
+            self.selfsched_chunks[label] = entry
+        entry["chunks"] += 1
+        entry["indices"] += size
+        if size > entry["max_chunk"]:
+            entry["max_chunk"] = size
 
-    # -- askfor pools --------------------------------------------------
-    def record_askfor(self, name: str, *, total_put: int, total_got: int,
-                      max_depth: int) -> None:
-        with self._lock:
-            self.askfor[name] = {"total_put": total_put,
-                                 "total_got": total_got,
-                                 "max_depth": max_depth}
+    def askfor(self, pool: str, *, total_put: int, total_got: int,
+               max_depth: int) -> None:
+        self.pools[pool] = {"total_put": total_put,
+                             "total_got": total_got,
+                             "max_depth": max_depth}
 
-    # -- asynchronous variables ----------------------------------------
-    def record_asyncvar_block(self, name: str, seconds: float) -> None:
-        with self._lock:
-            stat = self.asyncvar.get(name)
-            if stat is None:
-                stat = WaitStat()
-                self.asyncvar[name] = stat
-            stat.record(seconds)
+    def asyncvar_block(self, name: str, seconds: float) -> None:
+        stat = self.asyncvar.get(name)
+        if stat is None:
+            stat = WaitStat()
+            self.asyncvar[name] = stat
+        stat.record(seconds)
 
-    # -- pickling ------------------------------------------------------
-    # The process backend ships each worker's collector back to the
-    # parent for merging; a threading.Lock cannot cross that boundary.
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+    def checkpoint_written(self, nbytes: int) -> None:
+        """Snapshots are counted by the metrics reducer only."""
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ForceStats":
@@ -186,81 +170,78 @@ class ForceStats:
         for label, entry in (data.get("selfsched") or {}).items():
             stats.selfsched_chunks[label] = dict(entry)
         for name, entry in (data.get("askfor") or {}).items():
-            stats.askfor[name] = dict(entry)
+            stats.pools[name] = dict(entry)
         for name, entry in (data.get("asyncvar") or {}).items():
             stats.asyncvar[name] = WaitStat.from_dict(entry)
         return stats
 
     # -- merging -------------------------------------------------------
     def merge(self, other: "ForceStats") -> None:
-        """Fold another collector into this one (multi-run reports).
+        """Fold another collector into this one (lanes, multi-run reports).
 
         Wait statistics merge through :meth:`WaitStat.merge`, so empty
         sections on either side never poison min/max extremes.
         """
-        with self._lock:
-            self.barrier_episodes += other.barrier_episodes
-            self.barrier_wait.merge(other.barrier_wait)
-            for name, entry in other.criticals.items():
-                mine = self.criticals.get(name)
-                if mine is None:
-                    mine = {"acquisitions": 0, "contended": 0,
-                            "wait": WaitStat()}
-                    self.criticals[name] = mine
-                mine["acquisitions"] += entry["acquisitions"]
-                mine["contended"] += entry["contended"]
-                mine["wait"].merge(entry["wait"])
-            for label, entry in other.selfsched_chunks.items():
-                mine = self.selfsched_chunks.get(label)
-                if mine is None:
-                    mine = {"chunks": 0, "indices": 0, "max_chunk": 0}
-                    self.selfsched_chunks[label] = mine
-                mine["chunks"] += entry["chunks"]
-                mine["indices"] += entry["indices"]
-                mine["max_chunk"] = max(mine["max_chunk"],
-                                        entry["max_chunk"])
-            for name, entry in other.askfor.items():
-                mine = self.askfor.get(name)
-                if mine is None:
-                    self.askfor[name] = dict(entry)
-                else:
-                    mine["total_put"] += entry["total_put"]
-                    mine["total_got"] += entry["total_got"]
-                    mine["max_depth"] = max(mine["max_depth"],
-                                            entry["max_depth"])
-            for name, stat in other.asyncvar.items():
-                mine = self.asyncvar.get(name)
-                if mine is None:
-                    mine = WaitStat()
-                    self.asyncvar[name] = mine
-                mine.merge(stat)
+        self.barrier_episodes += other.barrier_episodes
+        self.barrier_wait.merge(other.barrier_wait)
+        for name, entry in other.criticals.items():
+            mine = self.criticals.get(name)
+            if mine is None:
+                mine = {"acquisitions": 0, "contended": 0,
+                        "wait": WaitStat()}
+                self.criticals[name] = mine
+            mine["acquisitions"] += entry["acquisitions"]
+            mine["contended"] += entry["contended"]
+            mine["wait"].merge(entry["wait"])
+        for label, entry in other.selfsched_chunks.items():
+            mine = self.selfsched_chunks.get(label)
+            if mine is None:
+                mine = {"chunks": 0, "indices": 0, "max_chunk": 0}
+                self.selfsched_chunks[label] = mine
+            mine["chunks"] += entry["chunks"]
+            mine["indices"] += entry["indices"]
+            mine["max_chunk"] = max(mine["max_chunk"],
+                                    entry["max_chunk"])
+        for name, entry in other.pools.items():
+            mine = self.pools.get(name)
+            if mine is None:
+                self.pools[name] = dict(entry)
+            else:
+                mine["total_put"] += entry["total_put"]
+                mine["total_got"] += entry["total_got"]
+                mine["max_depth"] = max(mine["max_depth"],
+                                        entry["max_depth"])
+        for name, stat in other.asyncvar.items():
+            mine = self.asyncvar.get(name)
+            if mine is None:
+                mine = WaitStat()
+                self.asyncvar[name] = mine
+            mine.merge(stat)
 
     # -- export --------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "nproc": self.nproc,
-                "barriers": {
-                    "episodes": self.barrier_episodes,
-                    "wait": self.barrier_wait.as_dict(),
-                },
-                "criticals": {
-                    name: {
-                        "acquisitions": entry["acquisitions"],
-                        "contended": entry["contended"],
-                        "wait": entry["wait"].as_dict(),
-                    }
-                    for name, entry in sorted(self.criticals.items())
-                },
-                "selfsched": {label: dict(entry)
-                              for label, entry in
-                              sorted(self.selfsched_chunks.items())},
-                "askfor": {name: dict(v)
-                           for name, v in sorted(self.askfor.items())},
-                "asyncvar": {name: stat.as_dict()
-                             for name, stat in
-                             sorted(self.asyncvar.items())},
-            }
+        return {
+            "nproc": self.nproc,
+            "barriers": {
+                "episodes": self.barrier_episodes,
+                "wait": self.barrier_wait.as_dict(),
+            },
+            "criticals": {
+                name: {
+                    "acquisitions": entry["acquisitions"],
+                    "contended": entry["contended"],
+                    "wait": entry["wait"].as_dict(),
+                }
+                for name, entry in sorted(self.criticals.items())
+            },
+            "selfsched": {label: dict(entry)
+                          for label, entry in
+                          sorted(self.selfsched_chunks.items())},
+            "askfor": {name: dict(v)
+                       for name, v in sorted(self.pools.items())},
+            "asyncvar": {name: stat.as_dict()
+                         for name, stat in sorted(self.asyncvar.items())},
+        }
 
     def render(self) -> str:
         return render_stats(self.as_dict())

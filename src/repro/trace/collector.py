@@ -3,8 +3,10 @@
 Design constraints, in order:
 
 1. **Zero cost when off** — a disabled Force keeps no collector at
-   all; every interception point pays one ``is None`` test (the same
-   contract as :mod:`repro.runtime.stats`).
+   all.  The collector is the ring the Force's
+   :class:`~repro.runtime.probe.Probe` writes to: every interception
+   point pays one ``probe is None`` test, and the probe exists only
+   when stats, trace or metrics are on.
 2. **Cheap when on** — each Force process appends to its *own* ring
    buffer, so the hot path takes no lock: one list store, two integer
    bumps and a clock read.  CPython's per-opcode atomicity makes the

@@ -129,15 +129,15 @@ class TestRecords:
         assert "critical.hold" in inj.report()
 
     def test_recorded_as_trace_events(self):
-        from repro.trace.collector import TraceCollector
+        from repro.runtime.probe import Probe
 
-        tracer = TraceCollector()
-        tracer.register_lane("force-1")
+        probe = Probe(1, trace=True)
+        probe.start(1)
         inj = injector(FaultSpec("delay", "critical.hold",
                                  seconds=0.0),
-                       tracer=tracer, sleep=lambda _s: None)
+                       probe=probe, sleep=lambda _s: None)
         inj.fire("critical.hold", "sum", me=1)
-        faults = [e for e in tracer.events() if e.kind == "fault"]
+        faults = [e for e in probe.events() if e.kind == "fault"]
         assert len(faults) == 1
         assert faults[0].op == "delay"
-        tracer.release_lane()
+        probe.end(1)

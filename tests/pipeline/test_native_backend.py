@@ -161,6 +161,29 @@ class TestDifferentialAgainstSim:
         assert document["native"]["wall_s"] >= 0
         assert "criticals" in document
 
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_critical_rounds_reach_stats_metrics_and_trace(self,
+                                                           backend):
+        # SPINLK/SPINUN lock rounds on a critical's lock word feed all
+        # three sinks from one probe call, so they count the same.
+        from pathlib import Path
+
+        source = (Path(__file__).resolve().parents[2] / "examples"
+                  / "sum_critical.frc").read_text(encoding="utf-8")
+        result = native_run(_host_translation(source), 3,
+                            backend=backend, stats=True, metrics=True,
+                            trace=True, deadline=60)
+        metric = [m["value"] for m in result.metrics_doc["metrics"]
+                  if m["name"] == "force_critical_acquisitions_total"
+                  and m["labels"] == {"name": "LCK"}]
+        holds = [e for e in result.trace
+                 if e.kind == "critical" and e.name == "LCK"
+                 and e.op == "hold"]
+        acquisitions = result.force_stats["criticals"]["LCK"][
+            "acquisitions"]
+        assert metric == [acquisitions] == [len(holds)]
+        assert acquisitions > 0
+
     def test_wall_clock_recorded(self):
         result = native_run(_host_translation(SUM_CRITICAL), 2,
                             backend="thread", deadline=60)

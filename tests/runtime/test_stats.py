@@ -145,6 +145,5 @@ class TestRendering:
 
     def test_force_stats_object_renders(self):
         stats = ForceStats(2)
-        stats.record_barrier_wait(0.001)
-        stats.record_barrier_episode()
+        stats.barrier(0.001, released=True)
         assert "episodes:            1" in stats.render()
