@@ -10,6 +10,7 @@ timing (contention, blocking) must at least agree between the sinks
 of one run.
 """
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -178,3 +179,27 @@ def test_timing_counts_agree_between_the_sinks_of_one_run(runs):
         seen = _timing_counts(force, sinks)
         assert len(set(seen.values())) == 1, (backend, sorted(sinks),
                                              seen)
+
+
+def test_lanes_lose_no_update_under_preemption():
+    # Each thread counts into its own lane without a lock; a lost
+    # update would show as a short count once the lanes are folded.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        force = Force(8, timeout=60, stats=True, metrics=True)
+
+        def program(force, me):
+            for _round in range(200):
+                with force.critical("hot"):
+                    pass
+            force.barrier()
+
+        force.run(program)
+    finally:
+        sys.setswitchinterval(interval)
+    assert force.stats["criticals"]["hot"]["acquisitions"] == 8 * 200
+    assert force.stats["barriers"]["wait"]["count"] == 8
+    doc = force.metrics_registry().as_dict()
+    assert [m["value"] for m in doc["metrics"]
+            if m["name"] == "force_critical_acquisitions_total"] == [1600]
