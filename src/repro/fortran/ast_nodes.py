@@ -4,6 +4,12 @@ Expressions are small immutable trees.  Statements are flat records —
 each program unit holds a flat statement list with precomputed jump
 targets for block constructs, so ``GO TO`` into and out of blocks works
 with classic Fortran semantics.
+
+The parser shares parsed units between programs and expression trees
+between statements (see :mod:`repro.fortran.parser`), so nothing writes
+to a node once parsing is done; the one exception is
+``Write.compiled_format``, filled lazily with the same value by every
+writer.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ class Stmt:
 
 class Declaration(Stmt):
     """Type declaration: entities are (name, bounds-exprs|None, char_len)."""
+    __slots__ = ("ftype", "entities")
 
     def __init__(self, ftype: FType,
                  entities: list[tuple[str, list[tuple[Expr, Expr]] | None]]):
@@ -102,6 +109,8 @@ class Declaration(Stmt):
 
 
 class DimensionDecl(Stmt):
+    __slots__ = ("entities",)
+
     def __init__(self, entities):
         super().__init__()
         self.entities = entities   # same shape as Declaration.entities
@@ -109,6 +118,7 @@ class DimensionDecl(Stmt):
 
 class CommonDecl(Stmt):
     """``COMMON /BLK/ A, B(10)`` — one block per statement in our subset."""
+    __slots__ = ("block", "entities")
 
     def __init__(self, block: str,
                  entities: list[tuple[str, list[tuple[Expr, Expr]] | None]]):
@@ -118,6 +128,8 @@ class CommonDecl(Stmt):
 
 
 class ParameterDecl(Stmt):
+    __slots__ = ("assignments",)
+
     def __init__(self, assignments: list[tuple[str, Expr]]):
         super().__init__()
         self.assignments = assignments
@@ -125,6 +137,7 @@ class ParameterDecl(Stmt):
 
 class DataDecl(Stmt):
     """``DATA name /values/`` — scalars and whole arrays only."""
+    __slots__ = ("items",)
 
     def __init__(self, items: list[tuple[str, list[Expr]]]):
         super().__init__()
@@ -132,12 +145,16 @@ class DataDecl(Stmt):
 
 
 class ExternalDecl(Stmt):
+    __slots__ = ("names",)
+
     def __init__(self, names: list[str]):
         super().__init__()
         self.names = names
 
 
 class Assign(Stmt):
+    __slots__ = ("target", "expr")
+
     def __init__(self, target: Var | Apply, expr: Expr):
         super().__init__()
         self.target = target
@@ -146,6 +163,7 @@ class Assign(Stmt):
 
 class LogicalIf(Stmt):
     """One-line ``IF (cond) statement``."""
+    __slots__ = ("cond", "body")
 
     def __init__(self, cond: Expr, body: Stmt):
         super().__init__()
@@ -155,6 +173,7 @@ class LogicalIf(Stmt):
 
 class IfThen(Stmt):
     """Block IF; ``false_target`` = index of matching ELSE IF/ELSE/END IF."""
+    __slots__ = ("cond", "false_target")
 
     def __init__(self, cond: Expr):
         super().__init__()
@@ -164,6 +183,7 @@ class IfThen(Stmt):
 
 class ElseIf(Stmt):
     """Reached by fallthrough = previous branch done -> jump to end."""
+    __slots__ = ("cond", "false_target", "end_target")
 
     def __init__(self, cond: Expr):
         super().__init__()
@@ -173,13 +193,15 @@ class ElseIf(Stmt):
 
 
 class Else(Stmt):
+    __slots__ = ("end_target",)
+
     def __init__(self) -> None:
         super().__init__()
         self.end_target: int = -1
 
 
 class EndIf(Stmt):
-    pass
+    __slots__ = ()
 
 
 class Do(Stmt):
@@ -188,6 +210,7 @@ class Do(Stmt):
     ``terminal`` is the flat index of the loop's terminal statement
     (labelled statement or the matching END DO).
     """
+    __slots__ = ("var", "first", "last", "step", "term_label", "terminal")
 
     def __init__(self, var: str, first: Expr, last: Expr, step: Expr | None,
                  term_label: int | None):
@@ -201,10 +224,12 @@ class Do(Stmt):
 
 
 class EndDo(Stmt):
-    pass
+    __slots__ = ()
 
 
 class Goto(Stmt):
+    __slots__ = ("target_label", "target")
+
     def __init__(self, target_label: int):
         super().__init__()
         self.target_label = target_label
@@ -212,6 +237,8 @@ class Goto(Stmt):
 
 
 class ComputedGoto(Stmt):
+    __slots__ = ("labels", "selector", "targets")
+
     def __init__(self, labels: list[int], selector: Expr):
         super().__init__()
         self.labels = labels
@@ -220,10 +247,12 @@ class ComputedGoto(Stmt):
 
 
 class Continue(Stmt):
-    pass
+    __slots__ = ()
 
 
 class Call(Stmt):
+    __slots__ = ("name", "args")
+
     def __init__(self, name: str, args: list[Expr]):
         super().__init__()
         self.name = name
@@ -231,10 +260,12 @@ class Call(Stmt):
 
 
 class Return(Stmt):
-    pass
+    __slots__ = ()
 
 
 class Stop(Stmt):
+    __slots__ = ("message",)
+
     def __init__(self, message: str | None = None):
         super().__init__()
         self.message = message
@@ -243,6 +274,7 @@ class Stop(Stmt):
 class Write(Stmt):
     """Output: list-directed, or FORMAT-directed when ``fmt_label``
     names a FORMAT statement."""
+    __slots__ = ("items", "fmt_label", "compiled_format")
 
     def __init__(self, items: list[Expr], fmt_label: int | None = None):
         super().__init__()
@@ -253,6 +285,7 @@ class Write(Stmt):
 
 class Read(Stmt):
     """List-directed input: ``READ(*,*) targets``."""
+    __slots__ = ("targets",)
 
     def __init__(self, targets: list[Expr]):
         super().__init__()
@@ -261,6 +294,7 @@ class Read(Stmt):
 
 class FormatStmt(Stmt):
     """Recorded but not interpreted (output is list-directed)."""
+    __slots__ = ("text",)
 
     def __init__(self, text: str):
         super().__init__()
@@ -269,3 +303,4 @@ class FormatStmt(Stmt):
 
 class EndUnit(Stmt):
     """The END line of a program unit (acts as RETURN/STOP)."""
+    __slots__ = ()

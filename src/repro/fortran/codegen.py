@@ -34,10 +34,15 @@ with :func:`compile`.  Three things make it fast:
 
 Artifacts are cached per ``(unit, facts_digest, cost_scale)`` — the
 facts digest in the key is what invalidates ``kernel_eligible``
-decisions when a different (or stale) facts document is supplied.
-Below that, compiled code objects are shared per process by a digest
-of the generated source, so a re-parsed program re-emits its units but
-does not re-``compile()`` them.
+decisions when a different (or stale) facts document is supplied.  The
+parser hands out one shared unit object per distinct unit text, so a
+re-parsed program finds its units' artifacts here and emits and
+``compile()``s nothing.  A shared unit belongs to many programs, so an
+artifact must not depend on which program emitted it: generated code
+names its callees (``rt.call("NAME", ...)``) and resolves them in the
+running interpreter's program, and every question the emitter asks
+about the program or the handler is recorded as a consult and replayed
+before the artifact is reused.
 A unit using a construct this layer cannot prove equivalent raises
 :class:`CodegenUnsupported`; the interpreter then tree-walks that unit
 and records the reason in ``compile_fallbacks``.
@@ -48,7 +53,8 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from types import CodeType
+import zlib
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -518,10 +524,10 @@ _REL_FN = {
 class _Runtime:
     """The only interpreter-specific object generated code touches.
 
-    Artifacts are cached across interpreters (same parse, same facts
-    digest), so the generated namespace must stay interpreter-free;
-    everything that needs *this* run's handler/output/input goes
-    through one ``rt`` parameter instead.
+    Artifacts are cached across interpreters and programs (same unit,
+    same facts digest), so the generated namespace must stay free of
+    both; everything that needs *this* run's program, handler, output
+    or input goes through one ``rt`` parameter instead.
     """
 
     __slots__ = ("interp",)
@@ -533,14 +539,18 @@ class _Runtime:
         """External (Force runtime) CALL — returns an event generator."""
         return self.interp.external.call(name, refs, frame)
 
-    def call(self, unit, refs, frame):
-        """CALL into another program unit — returns its generator."""
-        return self.interp.run_unit(unit, refs, frame.depth + 1,
-                                    process=frame.process)
+    def call(self, name, refs, frame):
+        """CALL into another program unit of this run's program —
+        returns its generator."""
+        interp = self.interp
+        return interp.run_unit(interp.program.units[name], refs,
+                               frame.depth + 1, process=frame.process)
 
-    def ufn(self, unit, refs, frame):
+    def ufn(self, name, refs, frame):
         """User FUNCTION in an expression: run synchronously."""
-        gen = self.interp.run_unit(unit, refs, 1, process=frame.process)
+        interp = self.interp
+        gen = interp.run_unit(interp.program.units[name], refs, 1,
+                              process=frame.process)
         while True:
             try:
                 event = next(gen)
@@ -548,7 +558,7 @@ class _Runtime:
                 return stop.value
             if not isinstance(event, Cost):
                 raise FortranError(
-                    f"function {unit.name} attempted a blocking "
+                    f"function {name} attempted a blocking "
                     "operation (not allowed inside an expression)")
 
     def extfn(self, name, refs, frame):
@@ -583,9 +593,13 @@ class _Runtime:
 # artifact cache
 # ----------------------------------------------------------------------
 class _Artifact:
-    """One compiled emission of a unit (or a recorded failure)."""
+    """One compiled emission of a unit (or a recorded failure).
 
-    __slots__ = ("facts_key", "cost_scale", "consults", "fn", "source",
+    The generated source is kept zlib-compressed: artifacts live as
+    long as their shared unit, and the source is read only for
+    reports and dumps."""
+
+    __slots__ = ("facts_key", "cost_scale", "consults", "fn", "packed",
                  "slot_names", "kernel_labels", "kernel_refused", "error")
 
     def __init__(self, facts_key, cost_scale, consults, *,
@@ -595,48 +609,56 @@ class _Artifact:
         self.cost_scale = cost_scale
         self.consults = consults
         self.fn = fn
-        self.source = source
+        self.packed = zlib.compress(source.encode())
         self.slot_names = slot_names
         self.kernel_labels = kernel_labels
         #: label -> why an eligible loop was left on the generic path
         self.kernel_refused = kernel_refused or {}
         self.error = error
 
+    @property
+    def source(self) -> str:
+        return zlib.decompress(self.packed).decode()
 
-#: unit -> list of cached artifacts (weak: dies with the parse tree)
+
+class _Sources(Mapping):
+    """Unit name -> generated source, inflated when read."""
+
+    __slots__ = ("_artifacts",)
+
+    def __init__(self, artifacts: dict[str, _Artifact]) -> None:
+        self._artifacts = artifacts
+
+    def __getitem__(self, name: str) -> str:
+        return self._artifacts[name].source
+
+    def __iter__(self):
+        return iter(self._artifacts)
+
+    def __len__(self) -> int:
+        return len(self._artifacts)
+
+
+#: unit -> list of cached artifacts.  Weak, so an artifact lives as
+#: long as its unit: for the parser's shared units, the process.
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-#: digest of generated source -> its compiled code object.  Units are
-#: re-parsed on every run, so ``_CACHE`` misses and emission repeats;
-#: identical source text compiles to an identical code object, so the
-#: ``compile()`` is paid once per process.  Each unit still ``exec``s
-#: it into a fresh namespace of its own constants.  Filled without a
-#: lock: a racing fill compiles the same source twice.
-_CODE_OBJECTS: dict[bytes, CodeType] = {}
-#: Past this many entries new code objects are compiled but not kept.
-_MAX_CODE_OBJECTS = 512
-
-
-def _code_for(source: str, unit_name: str) -> CodeType:
-    # the source's first line names the unit, so one key has one filename
-    key = hashlib.sha256(source.encode()).digest()
-    code = _CODE_OBJECTS.get(key)
-    if code is None:
-        code = compile(source, f"<codegen {unit_name}>", "exec")
-        if len(_CODE_OBJECTS) < _MAX_CODE_OBJECTS:
-            _CODE_OBJECTS[key] = code
-    return code
-
-
 def _consults_valid(consults, interp) -> bool:
-    """Replay the handler queries recorded at emit time: an artifact is
-    reusable only under a handler that answers them identically."""
+    """Replay the queries recorded at emit time: an artifact is
+    reusable only under a handler and a program that answer them
+    identically."""
     handler = interp.external
+    units = interp.program.units
     for name, kind, expected in consults:
-        actual = handler.is_external(name) if kind == "ext" \
-            else handler.is_external_function(name)
-        if bool(actual) != expected:
+        if kind == "unit":
+            unit = units.get(name)
+            actual = unit.kind if unit is not None else ""
+        elif kind == "ext":
+            actual = bool(handler.is_external(name))
+        else:
+            actual = bool(handler.is_external_function(name))
+        if actual != expected:
             return False
     return True
 
@@ -662,8 +684,13 @@ class CodegenProgram:
         self.kernelized: dict[str, list[int]] = {}
         #: unit name -> {label: reason} of eligible loops not lowered
         self.kernel_refused: dict[str, dict[int, str]] = {}
-        #: unit name -> generated Python source (provenance-annotated)
-        self.sources: dict[str, str] = {}
+        #: unit name -> the artifact its generated code came from
+        self.emitted: dict[str, _Artifact] = {}
+
+    def sources(self) -> Mapping:
+        """Unit name -> generated Python source (provenance-annotated)
+        of every unit emitted so far."""
+        return _Sources(dict(self.emitted))
 
     def unit_for(self, unit) -> "CodegenUnit | None":
         name = unit.name
@@ -677,7 +704,7 @@ class CodegenProgram:
             generated = None
         else:
             generated = CodegenUnit(unit, self.interp, artifact)
-            self.sources[name] = artifact.source
+            self.emitted[name] = artifact
             if artifact.kernel_labels:
                 self.kernelized[name] = list(artifact.kernel_labels)
             if artifact.kernel_refused:
@@ -709,7 +736,8 @@ class CodegenProgram:
                            self.eligible.get(unit.name.upper()) or set())
         try:
             source, namespace = emitter.emit()
-            exec(_code_for(source, unit.name), namespace)
+            exec(compile(source, f"<codegen {unit.name}>", "exec"),
+                 namespace)
             artifact = _Artifact(
                 self.facts_key, scale, tuple(sorted(set(emitter.consults))),
                 fn=namespace["_gen"], source=source,
@@ -730,7 +758,6 @@ class CodegenUnit:
     def __init__(self, unit, interp, artifact) -> None:
         self.unit = unit
         self.interp = interp
-        self.source = artifact.source
         self.slot_names = artifact.slot_names
         self._fn = artifact.fn
         self._rt = _Runtime(interp)
@@ -880,7 +907,14 @@ class _EmitterBase:
         self.w("    _p = 0")
         self.w("    _n = 0")
 
-    # -- handler consults (recorded for cache validation) --------------
+    # -- consults (recorded for cache validation) ----------------------
+    def _unit_kind(self, name: str) -> str:
+        """Kind of the program's unit ``name``, or "" if there is none."""
+        unit = self.program.units.get(name)
+        result = unit.kind if unit is not None else ""
+        self.consults.append((name, "unit", result))
+        return result
+
     def _is_ext(self, name: str) -> bool:
         result = bool(self.handler.is_external(name))
         self.consults.append((name, "ext", result))
@@ -896,7 +930,7 @@ class _EmitterBase:
             return _MAYBE
         if name in self._bounds_names:
             return _ARRAY
-        if name in self.program.units or name in self._externals \
+        if self._unit_kind(name) or name in self._externals \
                 or self._is_ext(name) or self._is_extfn(name):
             return _DYNAMIC
         return _CELL
@@ -1219,16 +1253,14 @@ class _EmitterBase:
             self.w(f'yield from rt.ext("{name}", [{refs}], frame)',
                    stmt.line)
             return False
-        unit = self.program.units.get(name)
-        if unit is None or unit.kind != "subroutine":
+        if self._unit_kind(name) != "subroutine":
             self.mat()
             self.w(f'raise _FE("no subroutine named {name}", '
                    f"line={stmt.line}, unit=_UN)", stmt.line)
             return True
         refs = ", ".join(self._argref(a) for a in stmt.args)
-        uc = self.const(unit, "_U")
         self.flush()
-        self.w(f"yield from rt.call({uc}, [{refs}], frame)", stmt.line)
+        self.w(f'yield from rt.call("{name}", [{refs}], frame)', stmt.line)
         return False
 
     def _g_return(self, stmt, i) -> bool:
@@ -1516,11 +1548,9 @@ class _EmitterBase:
         if is_intrinsic(name):
             args = ", ".join(self._expr(a) for a in arg_exprs)
             return f'_intr("{name}", [{args}])'
-        unit = self.program.units.get(name)
-        if unit is not None and unit.kind == "function":
+        if self._unit_kind(name) == "function":
             refs = ", ".join(self._argref(a) for a in arg_exprs)
-            uc = self.const(unit, "_U")
-            return f"rt.ufn({uc}, [{refs}], frame)"
+            return f'rt.ufn("{name}", [{refs}], frame)'
         return f'_nofn("{name}", _UN)'
 
     def _argref(self, expr) -> str:
@@ -1530,7 +1560,7 @@ class _EmitterBase:
             kind = self._kind(name)
             if kind is not _DYNAMIC:
                 return f"_ag[{self._slot(name)}]"
-            procedure = (name in self.program.units
+            procedure = (self._unit_kind(name)
                          or name in self._externals
                          or self._is_ext(name))
             const = "None"

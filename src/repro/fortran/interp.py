@@ -17,7 +17,7 @@ the exact shared-memory model of the paper's machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from repro._util.errors import FortranError
 from repro.fortran import ast_nodes as ast
@@ -428,13 +428,13 @@ class Interpreter:
         return {} if self._codegen is None \
             else dict(self._codegen.kernel_refused)
 
-    def codegen_sources(self) -> dict[str, str]:
+    def codegen_sources(self) -> Mapping[str, str]:
         """Unit name -> generated Python source (source tier only;
         units are emitted on demand, so only units that ran — or were
         force-compiled via :func:`repro.fortran.codegen.compile_all`
-        — appear)."""
-        return {} if self._codegen is None \
-            else dict(self._codegen.sources)
+        — appear).  A read-only mapping; each source is inflated when
+        it is read."""
+        return {} if self._codegen is None else self._codegen.sources()
 
     def _run_unit_tree(self, unit: ProgramUnit, args: list[ArgRef],
                        depth: int = 0, process=None) -> Iterator:

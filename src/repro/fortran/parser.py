@@ -1,8 +1,19 @@
 """Parser for the F77 subset: source text → program units with flat
-statement lists and resolved jump targets."""
+statement lists and resolved jump targets.
+
+Parsed units are immutable once built and shared per process: a unit
+whose header and (label, text, line) body were parsed before is
+returned as the same :class:`ProgramUnit`, so its generated code is
+reused as well (:mod:`repro.fortran.codegen` caches per unit).  Below
+that, each distinct statement text is tokenized and parsed once into a
+template; every position gets a copy with its label and line stamped
+on it, sharing the template's expression trees.
+"""
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import re
 from dataclasses import dataclass
 
@@ -673,8 +684,29 @@ _UNIT_HEADER = re.compile(
     re.IGNORECASE)
 
 
+#: digest of a unit's header and body -> its parsed unit.  Line numbers
+#: are part of the key, so a shared unit's statements (and the errors
+#: they raise) cite the lines of every source it is shared by.  Filled
+#: without a lock: a racing fill parses the same unit twice and keeps
+#: the first.  A unit that fails to parse stores nothing.
+_UNITS: dict[bytes, ProgramUnit] = {}
+#: Past this many entries new units are parsed per use but not kept.
+_MAX_UNITS = 512
+
+#: statement text -> its parsed template (never handed out: every
+#: position gets a copy).  Same policy as ``_UNITS``.
+_TEMPLATES: dict[str, ast.Stmt] = {}
+_MAX_TEMPLATES = 4096
+
+_END_LINE = re.compile(r"^\s*END\s*$", re.IGNORECASE)
+
+
 def parse_source(source: str) -> Program:
-    """Parse a full source file into a :class:`Program`."""
+    """Parse a full source file into a :class:`Program`.
+
+    The :class:`Program` is fresh on every call; its units come from
+    the per-process unit table when they were parsed before.
+    """
     logical = _assemble_lines(source)
     units: dict[str, ProgramUnit] = {}
     main: ProgramUnit | None = None
@@ -698,18 +730,19 @@ def parse_source(source: str) -> Program:
             result_type = parse_type_name(" ".join(type_prefix.upper()
                                                    .split()))
         i += 1
-        body: list[tuple[int | None, str, int]] = []
-        depth_guard = 0
+        start = i
         while i < n:
-            _, stext, _ = logical[i]
-            if re.match(r"^\s*END\s*$", stext, re.IGNORECASE) and \
-                    depth_guard == 0:
-                body.append(logical[i])
-                i += 1
-                break
-            body.append(logical[i])
             i += 1
-        unit = _build_unit(kind, name.upper(), params, result_type, body)
+            if _END_LINE.match(logical[i - 1][1]):
+                break
+        body = logical[start:i]
+        key = hashlib.sha256(repr((text, lineno, body)).encode()).digest()
+        unit = _UNITS.get(key)
+        if unit is None:
+            unit = _build_unit(kind, name.upper(), params, result_type,
+                               body)
+            if len(_UNITS) < _MAX_UNITS:
+                unit = _UNITS.setdefault(key, unit)
         units[unit.name] = unit
         if kind == "program":
             if main is not None:
@@ -724,14 +757,7 @@ def _build_unit(kind: str, name: str, params: list[str],
     statements: list[ast.Stmt] = []
     label_index: dict[int, int] = {}
     for label, text, lineno in body:
-        cursor = _Cursor(tokenize_statement(text, line=lineno), lineno)
-        try:
-            stmt = _parse_statement(cursor, text)
-        except FortranError:
-            raise
-        stmt.label = label
-        stmt.line = lineno
-        stmt.weight = _statement_weight(stmt)
+        stmt = _stamped(text, label, lineno)
         if label is not None:
             if label in label_index:
                 raise FortranError(f"duplicate label {label}", line=lineno,
@@ -747,6 +773,25 @@ def _build_unit(kind: str, name: str, params: list[str],
                        label_index=label_index)
     _resolve_targets(unit)
     return unit
+
+
+def _stamped(text: str, label: int | None, lineno: int) -> ast.Stmt:
+    """A fresh statement for one position: a copy of the text's
+    template with the label and line stamped on it.  A logical IF's
+    body is copied too, because target resolution writes to it."""
+    template = _TEMPLATES.get(text)
+    if template is None:
+        cursor = _Cursor(tokenize_statement(text, line=lineno), lineno)
+        template = _parse_statement(cursor, text)
+        template.weight = _statement_weight(template)
+        if len(_TEMPLATES) < _MAX_TEMPLATES:
+            _TEMPLATES[text] = template
+    stmt = copy.copy(template)
+    if stmt.__class__ is ast.LogicalIf:
+        stmt.body = copy.copy(stmt.body)
+    stmt.label = label
+    stmt.line = lineno
+    return stmt
 
 
 def _statement_weight(stmt: ast.Stmt) -> int:

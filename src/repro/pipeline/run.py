@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro._util.errors import ForceError
@@ -57,8 +58,8 @@ class RunResult:
     kernel_refused: dict[str, dict[int, str]] = \
         field(default_factory=dict)
     #: unit name → generated Python source (source tier only), for
-    #: ``force run --dump-codegen``
-    codegen_sources: dict[str, str] = field(default_factory=dict)
+    #: ``force run --dump-codegen``; read-only, inflated when read
+    codegen_sources: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def makespan(self) -> int:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._util.text import strip_margin
-from repro.fortran import Interpreter, parse_source
+from repro.fortran import Interpreter, parse_source, parser
 from repro.fortran.interp import drain
 
 
@@ -18,3 +18,12 @@ def run_fortran():
         return interp.output
 
     return _run
+
+
+@pytest.fixture()
+def unit_tables(monkeypatch):
+    """Empty parser unit and template tables, restored after the test;
+    returns the unit table."""
+    monkeypatch.setattr(parser, "_UNITS", {})
+    monkeypatch.setattr(parser, "_TEMPLATES", {})
+    return parser._UNITS

@@ -3,9 +3,9 @@
 The differential contract (codegen vs tree-walker) lives
 in ``test_compiled_vs_interp.py``; this file covers what is unique to
 the generated-source tier — the artifact cache keyed on the facts
-digest, the per-process code-object table keyed on the generated
-source, the numpy kernel gate, provenance comments, and the
-stale-facts refusal in the CLI.
+digest, its reuse through the parser's per-process unit table, the
+numpy kernel gate, provenance comments, and the stale-facts refusal in
+the CLI.
 """
 
 import json
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro._util.text import strip_margin
-from repro.fortran import codegen
+from repro.fortran import codegen, parser
 from repro.fortran.interp import Cost, Interpreter, drain
 from repro.fortran.parser import parse_source
 
@@ -101,14 +101,6 @@ class TestArtifactCacheKeyedOnFacts:
 
 
 @pytest.fixture()
-def code_table(monkeypatch):
-    """An empty code-object table, restored after the test."""
-    table: dict = {}
-    monkeypatch.setattr(codegen, "_CODE_OBJECTS", table)
-    return table
-
-
-@pytest.fixture()
 def compiled_sources(monkeypatch):
     """Every source text codegen hands to ``compile()``, in order."""
     sources: list[str] = []
@@ -121,25 +113,50 @@ def compiled_sources(monkeypatch):
     return sources
 
 
+@pytest.fixture()
+def front_end_work(monkeypatch):
+    """Counts of units built, statements parsed and units emitted."""
+    counts = {"units": 0, "statements": 0, "emits": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parser, "_build_unit",
+                        counting("units", parser._build_unit))
+    monkeypatch.setattr(parser, "_parse_statement",
+                        counting("statements", parser._parse_statement))
+    monkeypatch.setattr(codegen._Emitter, "emit",
+                        counting("emits", codegen._Emitter.emit))
+    return counts
+
+
 def lock_stats(result):
     stats = result.stats
     return (stats.lock_acquisitions, stats.contended_acquisitions,
             stats.spin_cycles, stats.context_switches)
 
 
-class TestCodeObjectTable:
-    def test_runs_compile_each_distinct_source_once(self, code_table,
-                                                    compiled_sources):
+class TestUnitTable:
+    def test_rerun_parses_emits_and_compiles_nothing(
+            self, unit_tables, front_end_work, compiled_sources):
         from repro.core import HEP, force_run, programs
         from repro.pipeline import force_translate
         translation = force_translate(programs.render("subroutine_call"),
                                       HEP)
         first = force_run(translation, 3)
+        work = dict(front_end_work)
         compiled = len(compiled_sources)
+        assert work["units"] and work["statements"] and work["emits"]
         second = force_run(translation, 3)
-        # the second run re-parses and re-emits, but compiles nothing
+        # the second run re-parses the text, but every unit is a table
+        # hit whose artifact is cached: no parse, no emission, no
+        # compile()
+        assert front_end_work == work
         assert len(compiled_sources) == compiled
-        assert len(set(compiled_sources)) == compiled == len(code_table)
+        assert len(set(compiled_sources)) == compiled
         assert set(first.codegen_sources.values()) <= set(compiled_sources)
         assert second.codegen_sources == first.codegen_sources
         oracle = force_run(translation, 3, codegen="interp")
@@ -149,18 +166,24 @@ class TestCodeObjectTable:
             assert result.makespan == oracle.makespan
             assert lock_stats(result) == lock_stats(oracle)
 
-    def test_reparsed_unit_shares_the_code_object(self, code_table):
-        first, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
-        second, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
-        fns = [interp._codegen._units["KERN"]._fn for interp in
-               (first, second)]
-        # one code object, but each run binds it in its own namespace
-        assert fns[0] is not fns[1]
-        assert fns[0].__code__ is fns[1].__code__
-        assert fns[0].__globals__ is not fns[1].__globals__
-        assert len(code_table) == 1
+    def test_reparse_returns_the_identical_unit_and_artifact(
+            self, unit_tables):
+        parsed = [parse_source(KERNEL_SOURCE) for _ in range(2)]
+        assert parsed[0] is not parsed[1]
+        unit = parsed[0].unit("KERN")
+        assert parsed[1].unit("KERN") is unit
+        assert list(unit_tables.values()) == [unit]
+        interps = [run_source_tier(program)[0] for program in parsed]
+        artifacts = [interp._codegen.emitted["KERN"] for interp in interps]
+        fns = [interp._codegen._units["KERN"]._fn for interp in interps]
+        # one artifact, one generated function, shared by both runs
+        assert artifacts[0] is artifacts[1]
+        assert fns[0] is fns[1]
+        assert codegen._CACHE[unit] == [artifacts[0]]
+        assert interps[0].output == interps[1].output
 
-    def test_cost_scale_and_facts_get_their_own_entries(self, code_table):
+    def test_cost_scale_and_facts_get_their_own_artifacts(
+            self, unit_tables, compiled_sources):
         plain, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
         gated, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
                                       facts=kern_facts())
@@ -169,24 +192,34 @@ class TestCodeObjectTable:
         drain(scaled.run_program())
         sources = [interp.codegen_sources()["KERN"]
                    for interp in (plain, gated, scaled)]
-        assert len(set(sources)) == 3 and len(code_table) == 3
+        unit = parse_source(KERNEL_SOURCE).unit("KERN")
+        assert len(set(sources)) == 3 and len(compiled_sources) == 3
+        assert len(codegen._CACHE[unit]) == 3
         assert gated.codegen_kernelized == {"KERN": [10]}
         assert plain.output == gated.output == scaled.output
 
-    def test_table_is_bounded(self, code_table, compiled_sources,
-                              monkeypatch):
-        monkeypatch.setattr(codegen, "_MAX_CODE_OBJECTS", 1)
-        plain, _, _ = run_source_tier(parse_source(KERNEL_SOURCE))
-        gated, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
-                                      facts=kern_facts())
-        again, _, _ = run_source_tier(parse_source(KERNEL_SOURCE),
-                                      facts=kern_facts())
-        assert len(code_table) == 1
-        # the entry past the bound is compiled on every use, and still
-        # runs exactly as the stored one would
-        assert len(compiled_sources) == 3
-        assert gated.output == again.output == plain.output
-        assert again.codegen_kernelized == {"KERN": [10]}
+    def test_unit_past_the_bound_is_parsed_per_use(
+            self, unit_tables, compiled_sources, monkeypatch):
+        monkeypatch.setattr(parser, "_MAX_UNITS", 0)
+        monkeypatch.setattr(parser, "_MAX_TEMPLATES", 0)
+        loose = [parse_source(KERNEL_SOURCE) for _ in range(2)]
+        assert loose[0].unit("KERN") is not loose[1].unit("KERN")
+        assert unit_tables == {} and parser._TEMPLATES == {}
+        runs = [run_source_tier(program, facts=kern_facts())
+                for program in loose]
+        # a unit past the bound is emitted and compiled on every use
+        assert len(compiled_sources) == 2
+        monkeypatch.setattr(parser, "_MAX_UNITS", 512)
+        monkeypatch.setattr(parser, "_MAX_TEMPLATES", 4096)
+        stored = run_source_tier(parse_source(KERNEL_SOURCE),
+                                 facts=kern_facts())
+        assert len(unit_tables) == 1
+        # ... and still runs exactly as the stored one does
+        for interp, statements, events in runs:
+            assert interp.output == stored[0].output
+            assert (statements, events) == stored[1:]
+            assert interp.codegen_kernelized == {"KERN": [10]}
+            assert interp.codegen_sources() == stored[0].codegen_sources()
 
 
 SHARED_TERMINAL_SOURCE = strip_margin("""\
