@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._util.errors import ForceError
 from repro.fortran.interp import (
@@ -22,7 +23,7 @@ from repro.machines.model import MachineModel, SharingBinding
 from repro.pipeline.compile import TranslationResult, force_translate
 from repro.sim.events import HaltSim
 from repro.sim.force_runtime import ForceRuntime, SharingRegistry
-from repro.sim.scheduler import Scheduler, SimStats
+from repro.sim.scheduler import Scheduler, SimStats, trace_triples
 
 
 @dataclass
@@ -41,8 +42,8 @@ class RunResult:
     #: linker commands produced by the Sequent two-run protocol
     linker_commands: list[str] = field(default_factory=list)
     memory_plan: SharedRegionPlan | None = None
-    #: (time, process, event) triples when run with ``trace=True``
-    trace: list[tuple[int, str, str]] = field(default_factory=list)
+    #: the scheduler's flat trace (:attr:`trace` pairs it up)
+    trace_fields: list = field(default_factory=list, repr=False)
     #: program units source codegen refused and the tree walker ran
     #: (unit name → reason); empty when everything ran generated code
     compile_fallbacks: dict[str, str] = field(default_factory=dict)
@@ -60,6 +61,15 @@ class RunResult:
     #: unit name → generated Python source (source tier only), for
     #: ``force run --dump-codegen``; read-only, inflated when read
     codegen_sources: Mapping[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def trace(self) -> list[tuple[int, str, str]]:
+        """(time, process, event) triples when run with ``trace=True``.
+
+        Built on first read: a traced run whose trace nobody reads
+        allocates no per-event tuple.
+        """
+        return trace_triples(self.trace_fields)
 
     @property
     def makespan(self) -> int:
@@ -250,7 +260,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
         registry=registry,
         linker_commands=linker_commands,
         memory_plan=memory_plan,
-        trace=scheduler.trace,
+        trace_fields=scheduler.trace_fields,
         compile_fallbacks=interp.compile_fallbacks,
         kernel_eligible=interp.kernel_eligible,
         kernelized_doalls=interp.codegen_kernelized,

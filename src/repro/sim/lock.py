@@ -31,6 +31,12 @@ class SimLock:
         self.lock_id = next(_lock_ids)
         if not self.name:
             self.name = f"lock{self.lock_id}"
+        # The scheduler's trace texts, formatted once per lock rather
+        # than once per lock operation.
+        self.acquired_text = f"acquired {self.name}"
+        self.waiting_text = f"waiting on {self.name}"
+        self.granted_text = f"granted {self.name}"
+        self.released_text = f"released {self.name}"
 
     def __hash__(self) -> int:
         return self.lock_id

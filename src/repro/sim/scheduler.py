@@ -37,6 +37,16 @@ from repro.sim.events import (
 from repro.sim.lock import SimLock
 
 
+#: a trace keeps the first 100,000 events, three fields each
+_MAX_TRACE_FIELDS = 3 * 100_000
+
+
+def trace_triples(fields: list) -> list[tuple[int, str, str]]:
+    """Pair up a flat trace into ``(time, process, text)`` triples."""
+    values = iter(fields)
+    return list(zip(values, values, values))
+
+
 class ProcState(Enum):
     READY = "ready"
     BLOCKED = "blocked"
@@ -127,7 +137,10 @@ class Scheduler:
         self.max_events = max_events
         self.deadline = deadline
         self.trace_enabled = trace
-        self.trace: list[tuple[int, str, str]] = []
+        #: the trace, flat: time, process name and text of each event in
+        #: turn.  Recording stores three references and allocates no
+        #: tuple; :attr:`trace` pairs them up when read.
+        self.trace_fields: list = []
         self.stats = SimStats()
         self._heap: list[tuple[int, int, SimProcess]] = []
         self._seq = count()
@@ -320,7 +333,7 @@ class Scheduler:
         self.stats.lock_acquisitions += 1
         if not lock.locked:
             lock.locked = True
-            self._trace(proc, f"acquired {lock.name}")
+            self._trace(proc, lock.acquired_text)
             self._push(proc)
             return
         lock.contended += 1
@@ -333,7 +346,7 @@ class Scheduler:
         proc.block_start = proc.clock
         proc.blocked_on = lock
         lock.waiters.append(proc)
-        self._trace(proc, f"waiting on {lock.name}")
+        self._trace(proc, lock.waiting_text)
         # Processor occupancy while waiting depends on the mechanism:
         # spinners keep their CPU (that is what spinning is); syscall
         # and hardware full/empty waiters release it; a combined lock
@@ -358,11 +371,11 @@ class Scheduler:
             # Direct handoff: the lock stays locked for the waiter.
             waiter.state = ProcState.READY
             waiter.blocked_on = None
-            self._trace(waiter, f"granted {lock.name}")
+            self._trace(waiter, lock.granted_text)
             self._push(waiter)
         else:
             lock.locked = False
-        self._trace(proc, f"released {lock.name}")
+        self._trace(proc, lock.released_text)
         self._push(proc)
 
     def _charge_wait(self, waiter: SimProcess, grant_time: int) -> None:
@@ -428,8 +441,16 @@ class Scheduler:
             heapq.heappush(self._heap, (proc.clock, next(self._seq), proc))
 
     def _trace(self, proc: SimProcess, what: str) -> None:
-        if self.trace_enabled and len(self.trace) < 100_000:
-            self.trace.append((proc.clock, proc.name, what))
+        fields = self.trace_fields
+        if self.trace_enabled and len(fields) < _MAX_TRACE_FIELDS:
+            fields.append(proc.clock)
+            fields.append(proc.name)
+            fields.append(what)
+
+    @property
+    def trace(self) -> list[tuple[int, str, str]]:
+        """The ``(time, process, text)`` triples recorded so far."""
+        return trace_triples(self.trace_fields)
 
     def _describe_blocker(self, proc: SimProcess) -> str:
         blocker = proc.blocked_on

@@ -14,6 +14,7 @@ from repro.sim import (
     Spawn,
     Wake,
 )
+from repro.sim import scheduler as scheduler_module
 
 
 def make_scheduler(machine=SEQUENT_BALANCE, **kw):
@@ -472,3 +473,33 @@ class TestStats:
         actions = [what for (_t, _n, what) in sched.trace]
         assert "acquired L" in actions
         assert "released L" in actions
+
+    def test_trace_keeps_the_first_events_up_to_its_bound(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(scheduler_module, "_MAX_TRACE_FIELDS", 3 * 4)
+        sched = make_scheduler(trace=True)
+        lock = sched.new_lock("L")
+
+        def work():
+            for _ in range(3):
+                yield AcquireLock(lock)
+                yield ReleaseLock(lock)
+
+        sched.spawn(work(), name="w")
+        sched.run()
+        assert [what for (_t, _who, what) in sched.trace] == [
+            "spawned", "acquired L", "released L", "acquired L"]
+        assert len(sched.trace_fields) == 3 * 4
+
+    def test_untraced_run_records_nothing(self):
+        sched = make_scheduler()
+        lock = sched.new_lock("L")
+
+        def work():
+            yield AcquireLock(lock)
+            yield ReleaseLock(lock)
+
+        sched.spawn(work())
+        sched.run()
+        assert sched.trace == []
+        assert sched.trace_fields == []
