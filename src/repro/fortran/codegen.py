@@ -5,11 +5,19 @@ This is the one compiled tier beside the tree-walking interpreter
 Python function per program unit — the whole statement tree flattened
 into a ``while`` dispatch loop over basic-block regions, with names
 resolved to frame-slot accesses at emit time — and compiles it once
-with :func:`compile`.  Three things make it fast:
+with :func:`compile`.  Four things make it fast:
 
 * **No per-statement dispatch.**  Straight-line statement runs become
   straight-line Python; GOTO / computed GOTO / block IF lower to
   ``pc``-dispatch over region leaders.
+
+* **Direct element access.**  Each invocation binds numpy fast views
+  of its 1-D and 2-D numeric arrays (data, lower bound and extent per
+  dimension), kept in one list per rank.  In-bounds, exact-type
+  element loads and stores read ``data.item(...)`` or write
+  ``data[...]`` (:func:`_ld1`/:func:`_st1`, :func:`_ld2`/:func:`_st2`);
+  every other access falls through to ``FArray.get``/``set``, so error
+  texts and coercions are the tree walker's.
 
 * **Batched cost accounting.**  The tree walker yields one
   :class:`~repro.fortran.interp.Cost` per statement.  Generated code
@@ -289,6 +297,43 @@ def _st1(cell, fast, v, sub):
     cell.set((sub,), v)
 
 
+def _ld2(cell, fast, a, b):
+    """2-D array element load, reading numpy storage directly when
+    both subscripts are in bounds."""
+    if a.__class__ is not int:
+        a = int(a)
+    if b.__class__ is not int:
+        b = int(b)
+    if fast is not None:
+        data, la, na, lb, nb, _ = fast
+        i = a - la
+        j = b - lb
+        if 0 <= i < na and 0 <= j < nb:
+            return data.item(i, j)
+    return cell.get((a, b))
+
+
+def _st2(cell, fast, v, a, b):
+    """2-D array element store: :func:`_st1`'s rules, two subscripts."""
+    if a.__class__ is not int:
+        a = int(a)
+    if b.__class__ is not int:
+        b = int(b)
+    if fast is not None:
+        data, la, na, lb, nb, is_int = fast
+        i = a - la
+        j = b - lb
+        if 0 <= i < na and 0 <= j < nb:
+            if is_int:
+                if v.__class__ is int:
+                    data[i, j] = v
+                    return
+            elif v.__class__ is float or v.__class__ is int:
+                data[i, j] = v
+                return
+    cell.set((a, b), v)
+
+
 def _sca(cell, v):
     """Scalar cell assignment, type-specialized per value class."""
     cls = v.__class__
@@ -492,6 +537,8 @@ _BASE_NAMESPACE = {
     "_ge": _ge,
     "_ld1": _ld1,
     "_st1": _st1,
+    "_ld2": _ld2,
+    "_st2": _st2,
     "_sca": _sca,
     "_sma": _sma,
     "_sdy": _sdy,
@@ -781,33 +828,46 @@ class CodegenUnit:
 
     def _bind(self, frame) -> None:
         """Resolve slots to this invocation's storage: ``slots`` and
-        ``argrefs`` per name, plus a numpy fast view for 1-D numeric
-        arrays (read by :func:`_ld1`/:func:`_st1`)."""
+        ``argrefs`` per name, plus numpy fast views of numeric arrays,
+        kept apart by rank so that a view only ever reaches the helpers
+        of its own rank: ``fast`` for 1-D arrays (read by
+        :func:`_ld1`/:func:`_st1` and the kernel guard) and ``fast2``
+        for 2-D ones (read by :func:`_ld2`/:func:`_st2`).  A name with
+        no view of a rank has None there, so its accesses of that rank
+        take the generic path and its errors."""
         from repro.fortran.interp import Cell
         variables = frame.vars
         slots = []
         argrefs = []
         fast = []
+        fast2 = []
         for name in self.slot_names:
             entry = variables.get(name)
             if entry is None:
                 entry = Cell(default_type_for(name))
                 variables[name] = entry
             slots.append(entry)
+            view = view2 = None
             if entry.__class__ is FArray:
                 argrefs.append(ArrayRef(entry))
                 data = entry.data
-                if len(entry.shape) == 1 and data.dtype.kind in "if":
-                    fast.append((data, entry.lower[0], entry.shape[0],
-                                 data.dtype.kind == "i"))
-                else:
-                    fast.append(None)
+                kind = data.dtype.kind
+                if kind in "if":
+                    shape = entry.shape
+                    lower = entry.lower
+                    if len(shape) == 1:
+                        view = (data, lower[0], shape[0], kind == "i")
+                    elif len(shape) == 2:
+                        view2 = (data, lower[0], shape[0], lower[1],
+                                 shape[1], kind == "i")
             else:
                 argrefs.append(CellRef(entry))
-                fast.append(None)
+            fast.append(view)
+            fast2.append(view2)
         frame.slots = slots
         frame.argrefs = argrefs
         frame.fast = fast
+        frame.fast2 = fast2
 
 
 def compile_all(interp) -> dict[str, str]:
@@ -969,6 +1029,7 @@ class _EmitterBase:
             "def _gen(frame, rt):",
             "    _sl = frame.slots",
             "    _fv = frame.fast",
+            "    _f2 = frame.fast2",
             "    _ag = frame.argrefs",
             "    _p = 0",
             "    _n = 0",
@@ -1223,6 +1284,10 @@ class _EmitterBase:
                 if len(subs) == 1:
                     self.w(f"_st1(_sl[{s}], _fv[{s}], {value}, {subs[0]})",
                            stmt.line)
+                    return False
+                if len(subs) == 2:
+                    self.w(f"_st2(_sl[{s}], _f2[{s}], {value}, "
+                           f"{subs[0]}, {subs[1]})", stmt.line)
                     return False
                 tv = self.temp()
                 self.w(f"{tv} = {value}", stmt.line)
@@ -1518,6 +1583,8 @@ class _EmitterBase:
             subs = [self._expr(a) for a in expr.args]
             if len(subs) == 1:
                 return f"_ld1(_sl[{s}], _fv[{s}], {subs[0]})"
+            if len(subs) == 2:
+                return f"_ld2(_sl[{s}], _f2[{s}], {subs[0]}, {subs[1]})"
             tup = ", ".join(f"int({sub})" for sub in subs)
             return f"_sl[{s}].get(({tup},))"
         if kind is _MAYBE:

@@ -50,9 +50,11 @@ class Cost:
     benchmarks.
 
     ``repeat`` stands for that many identical events in a row (a
-    kernelized DOALL replays its per-iteration events this way); the
-    scheduler applies them one step at a time, so the interleaving is
-    exactly that of ``repeat`` separate yields.
+    kernelized DOALL replays its per-iteration events this way).  The
+    scheduler applies the steps in bulk, in the tie order ``repeat``
+    separate yields would take, so the interleaving, event count and
+    trace are exactly theirs; repeated cycles must be a whole number
+    >= 0.
 
     Not frozen, because generated code builds one per flush and a
     frozen ``__init__`` costs a ``object.__setattr__`` call per field;
@@ -271,15 +273,16 @@ StatementExecution = Cost
 class Frame:
     """Activation record for one program-unit invocation.
 
-    ``slots``, ``argrefs`` and ``fast`` are filled only when generated
-    code runs the unit: per slot-resolved name its storage, its
-    by-reference argument wrapper, and a numpy fast view (1-D numeric
-    arrays) or None.  The tree walker leaves them None.
+    ``slots``, ``argrefs``, ``fast`` and ``fast2`` are filled only when
+    generated code runs the unit: per slot-resolved name its storage,
+    its by-reference argument wrapper, and numpy fast views of 1-D
+    (``fast``) and 2-D (``fast2``) numeric arrays or None.  The tree
+    walker leaves them None.
     """
 
     __slots__ = ("unit", "vars", "do_stack", "process", "interpreter",
                  "result_cell", "externals", "slots", "argrefs", "fast",
-                 "depth")
+                 "fast2", "depth")
 
     def __init__(self, unit: ProgramUnit) -> None:
         self.unit = unit
@@ -294,6 +297,7 @@ class Frame:
         self.slots: list | None = None
         self.argrefs: list | None = None
         self.fast: list | None = None
+        self.fast2: list | None = None
         self.depth: int = 0
 
     def lookup(self, name: str):

@@ -2,7 +2,10 @@
 
 A conservative event loop: always resume the process with the smallest
 clock, so every shared-memory interaction resolves in deterministic
-simulated-time order (ties broken by push order).  Lock waits cost
+simulated-time order (ties broken by push order).  The steps of a
+repeated :class:`Cost` are applied in bulk, in exactly the order their
+one-at-a-time pops would take (see :meth:`Scheduler._apply_steps`).
+Lock waits cost
 what the machine's lock type says they cost (§4.1.3):
 
 * **spin** — the waiting CPU burns cycles until the release;
@@ -19,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
+from operator import itemgetter
 from time import monotonic
 from typing import Any, Callable, Hashable, Iterator
 
@@ -39,6 +43,45 @@ from repro.sim.lock import SimLock
 
 #: a trace keeps the first 100,000 events, three fields each
 _MAX_TRACE_FIELDS = 3 * 100_000
+
+#: the wall-clock deadline is read each time the event count crosses a
+#: multiple of this
+_DEADLINE_STRIDE = 4096
+
+
+def _step_key(clock: int, cycles: int, seq: int, j: int) -> tuple:
+    """Heap position of step ``j`` of a run of equal steps.
+
+    Step 0 is the run's heap entry when a bulk application starts,
+    with its sequence number ``seq``.  Step ``j > 0`` is pushed when
+    step ``j - 1`` pops, with a fresh sequence number: at an equal
+    clock it pops after every entry already in the heap (``0 < 1``),
+    and among pushed steps in the order their parents popped.  That is
+    the parent with the smaller clock (more cycles per step) first; at
+    equal cycles, the run that started later first, since its parents
+    reach its start clock as the old entry there; at equal starts, the
+    smaller starting sequence number first.  A zero-cycle run never
+    leaves its clock, so its step ``j`` pops in round ``j``.
+    """
+    if j == 0:
+        return (clock, 0, seq)
+    return (clock + j * cycles, 1, -cycles, -clock if cycles else j, seq)
+
+
+def _steps_before(clock: int, cycles: int, seq: int, left: int,
+                  stop: tuple) -> int:
+    """How many of a run's ``left`` steps pop before the key ``stop``."""
+    until = stop[0]
+    if clock > until:
+        return 0
+    if cycles:
+        n = min(left, (until - clock + cycles - 1) // cycles)
+    else:
+        n = left if clock < until else 0
+    # steps at the stop's own clock: at most one unless zero-cycle
+    while n < left and _step_key(clock, cycles, seq, n) < stop:
+        n += 1
+    return n
 
 
 def trace_triples(fields: list) -> list[tuple[int, str, str]]:
@@ -73,8 +116,9 @@ class SimProcess:
         self.busy_cycles = 0
         self.on_cpu = False
         self.ever_scheduled = False
-        #: (one step, steps left) of a repeated Cost being applied
-        self.pending: tuple[Cost, int] | None = None
+        #: (cycles, statements, steps left, heap sequence number) of a
+        #: repeated Cost whose steps are still to be applied
+        self.pending: tuple[int, int, int, int] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SimProcess {self.name} t={self.clock} "
@@ -143,6 +187,12 @@ class Scheduler:
         self.trace_fields: list = []
         self.stats = SimStats()
         self._heap: list[tuple[int, int, SimProcess]] = []
+        #: processes part-way through a repeated Cost: their steps wait
+        #: here, not in the heap, and :meth:`_apply_steps` applies them
+        self._stepping: list[SimProcess] = []
+        #: ``(clock, seq)`` of the earliest step in ``_stepping`` (stale
+        #: while ``_stepping`` is empty)
+        self._step_front: tuple[int, int] = (0, 0)
         self._seq = count()
         self._pids = count(1)
         self._procs: list[SimProcess] = []
@@ -219,14 +269,21 @@ class Scheduler:
         events = 0
         wall_limit = None if self.deadline is None \
             else monotonic() + self.deadline
-        while self._heap and not self._halted:
-            if wall_limit is not None and events % 4096 == 0 \
-                    and monotonic() > wall_limit:
-                raise SimDeadlockError(
-                    f"simulation exceeded its {self.deadline}s "
-                    f"wall-clock deadline after {events} events "
-                    "(livelock or runaway program?)")
-            clock, _seq, proc = heapq.heappop(self._heap)
+        next_check = 0
+        heap = self._heap
+        stepping = self._stepping
+        while (heap or stepping) and not self._halted:
+            if stepping and (not heap or self._step_front < heap[0]):
+                events = self._apply_steps(events)
+            if wall_limit is not None and events >= next_check:
+                if monotonic() > wall_limit:
+                    raise SimDeadlockError(
+                        f"simulation exceeded its {self.deadline}s "
+                        f"wall-clock deadline after {events} events "
+                        "(livelock or runaway program?)")
+                next_check = events - events % _DEADLINE_STRIDE \
+                    + _DEADLINE_STRIDE
+            clock, _seq, proc = heapq.heappop(heap)
             if proc.state is not ProcState.READY or proc.clock != clock:
                 continue   # stale heap entry
             if self.processors and not proc.on_cpu:
@@ -244,21 +301,12 @@ class Scheduler:
                     continue
             events += 1
             if events > self.max_events:
-                raise SimulationError(
-                    f"simulation exceeded {self.max_events} events "
-                    "(livelock or runaway program?)")
-            pending = proc.pending
-            if pending is not None:
-                # one more step of a repeated Cost, without resuming
-                # the process's generator
-                event, left = pending
-                proc.pending = (event, left - 1) if left > 1 else None
-            else:
-                try:
-                    event = next(proc.gen)
-                except StopIteration:
-                    self._finish(proc)
-                    continue
+                raise self._event_limit()
+            try:
+                event = next(proc.gen)
+            except StopIteration:
+                self._finish(proc)
+                continue
             self._dispatch(proc, event)
         self.stats.events = events
         if not self._halted:
@@ -278,20 +326,112 @@ class Scheduler:
         self._finalize_stats()
         return self.stats
 
+    def _event_limit(self) -> SimulationError:
+        return SimulationError(
+            f"simulation exceeded {self.max_events} events "
+            "(livelock or runaway program?)")
+
+    def _apply_steps(self, events: int) -> int:
+        """Apply every pending step that pops before the next heap
+        entry that is not a step; return the new event count.
+
+        A step only advances its own process, so the steps could be
+        popped one at a time, each pushing its process back with a
+        fresh sequence number.  This applies them in bulk instead and
+        gives each advanced process one fresh sequence number, in the
+        order its last step would have been pushed (:func:`_step_key`):
+        the heap then holds the same entries in the same tie order.
+        The batch stops at the first pop that is not a step: the
+        heap's front, or the end of a run (whose process then resumes
+        its generator).  Every step still counts as one event.
+        """
+        heap = self._heap
+        stepping = self._stepping
+        if len(stepping) == 1:
+            # One run, whose entry is the front: a step it pushes pops
+            # before the heap's front only at a smaller clock, as the
+            # front is older.
+            proc = stepping[0]
+            cycles, _statements, left, _seq = proc.pending
+            n = left
+            if heap:
+                gap = heap[0][0] - proc.clock
+                if gap == 0:
+                    n = 1
+                elif cycles and gap < left * cycles:
+                    n = -(-gap // cycles)
+            events += n
+            if events > self.max_events:
+                raise self._event_limit()
+            if self._advance(proc, n):
+                self._step_front = (proc.clock, proc.pending[3])
+            else:
+                stepping.clear()
+            return events
+        ends = [_step_key(p.clock, p.pending[0], p.pending[3],
+                          p.pending[2]) for p in stepping]
+        if heap:
+            ends.append((heap[0][0], 0, heap[0][1]))
+        stop = min(ends)
+        moved = []
+        for proc in stepping:
+            cycles, _statements, left, seq = proc.pending
+            n = _steps_before(proc.clock, cycles, seq, left, stop)
+            if n:
+                moved.append((_step_key(proc.clock, cycles, seq, n),
+                              proc, n))
+                events += n
+        if events > self.max_events:
+            raise self._event_limit()
+        moved.sort(key=itemgetter(0))
+        for _key, proc, n in moved:
+            self._advance(proc, n)
+        stepping[:] = [p for p in stepping if p.pending is not None]
+        if stepping:
+            self._step_front = min((p.clock, p.pending[3])
+                                   for p in stepping)
+        return events
+
+    def _advance(self, proc: SimProcess, n: int) -> bool:
+        """Apply ``n`` steps of ``proc``'s run and give it one fresh
+        sequence number: its next step's, or, once the run is over, its
+        heap entry's.  True while steps remain."""
+        cycles, statements, left, _seq = proc.pending
+        proc.clock += n * cycles
+        proc.busy_cycles += n * cycles
+        self.stats.statements += n * statements
+        if n < left:
+            proc.pending = (cycles, statements, left - n, next(self._seq))
+            return True
+        proc.pending = None
+        heapq.heappush(self._heap, (proc.clock, next(self._seq), proc))
+        return False
+
     # ------------------------------------------------------------------
     # event dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, proc: SimProcess, event) -> None:
         if type(event) is Cost:
-            proc.clock += event.cycles
-            proc.busy_cycles += event.cycles
+            cycles = event.cycles
+            proc.clock += cycles
+            proc.busy_cycles += cycles
             self.stats.statements += event.statements
             if event.repeat > 1:
-                # later pops apply the other steps, each as one event
-                # with its own heap sequence number
-                proc.pending = (Cost(event.cycles, event.statements),
-                                event.repeat - 1)
-            self._push(proc)
+                # the other steps wait in _stepping, where
+                # _apply_steps applies them in bulk
+                if cycles.__class__ is not int or cycles < 0:
+                    raise SimulationError(
+                        f"repeated Cost of {cycles!r} cycles from "
+                        f"{proc.name} (needs a whole number >= 0)")
+                seq = next(self._seq)
+                proc.pending = (cycles, event.statements,
+                                event.repeat - 1, seq)
+                front = (proc.clock, seq)
+                if not self._stepping or front < self._step_front:
+                    self._step_front = front
+                self._stepping.append(proc)
+            else:
+                self._push(proc)
         elif type(event) is AcquireLock:
             self._acquire(proc, event.lock)
         elif type(event) is ReleaseLock:

@@ -1,8 +1,12 @@
 """Scheduler unit tests with hand-written process generators."""
 
+import random
+import time
+
 import pytest
 
-from repro.machines import CRAY_2, FLEX_32, HEP, SEQUENT_BALANCE
+from repro._util.errors import SimDeadlockError
+from repro.machines import CRAY_2, FLEX_32, HEP, MACHINES, SEQUENT_BALANCE
 from repro.sim import (
     AcquireLock,
     Block,
@@ -167,6 +171,153 @@ class TestRepeatedCost:
         sched.spawn(work())
         with pytest.raises(SimulationError):
             sched.run()
+
+    def test_deadline_fires_although_steps_jump_the_check_points(self):
+        # The event count grows 5,000 at a time, so it first lands on a
+        # multiple of 4,096 after 512 ops, later than the event limit
+        # allows; the deadline is read each time a multiple is crossed.
+        sched = make_scheduler(max_events=2_000_000, deadline=0.05)
+
+        def endless():
+            while True:
+                time.sleep(0.0005)
+                yield Cost(1, 1, 5000)
+
+        sched.spawn(endless())
+        with pytest.raises(SimDeadlockError, match="wall-clock deadline"):
+            sched.run()
+
+    def test_non_integer_repeated_cycles_are_refused(self):
+        sched = make_scheduler()
+
+        def work():
+            yield Cost(1.5, 1, 3)
+
+        sched.spawn(work())
+        with pytest.raises(SimulationError, match="repeated Cost"):
+            sched.run()
+
+
+#: every machine the scheduler runs: the paper's six and the Python host
+_ALL_MACHINES = sorted(MACHINES.values(), key=lambda m: m.key)
+
+
+def _simulate(machine, plans, *, repeated, processors=None, locks=2):
+    """Run ``plans`` (per process: start clock and a list of ops) with
+    each repeated Cost either kept whole or expanded into one yield
+    per step; return everything a run lets one observe."""
+    sched = Scheduler(machine, trace=True, processors=processors)
+    shared = [sched.new_lock(f"L{k}") for k in range(locks)]
+    grants = []
+
+    def body(name, ops):
+        for op in ops:
+            if op[0] == "cost":
+                _, cycles, statements, times = op
+                if repeated:
+                    yield Cost(cycles, statements, times)
+                else:
+                    for _ in range(times):
+                        yield Cost(cycles, statements)
+            else:
+                _, k, hold = op
+                yield AcquireLock(shared[k])
+                grants.append((name, k))
+                yield Cost(hold)
+                yield ReleaseLock(shared[k])
+
+    for index, (start, ops) in enumerate(plans):
+        name = f"p{index}"
+        sched.spawn(body(name, ops), name=name, start_time=start)
+    try:
+        stats = sched.run()
+    except SimulationError as exc:   # a spin machine over-subscribed
+        return ("raised", type(exc).__name__, str(exc), grants,
+                sched.trace)
+    return stats, grants, sched.trace, [p.busy_cycles
+                                        for p in sched._procs]
+
+
+def _random_plans(rng, cycles=(1, 2, 3, 4, 6, 10)):
+    plans = []
+    for _ in range(rng.randint(1, 4)):
+        ops = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.7:
+                ops.append(("cost", rng.choice(cycles), rng.randint(1, 3),
+                            rng.randint(1, 12)))
+            else:
+                ops.append(("lock", rng.randint(0, 1), rng.randint(1, 8)))
+        plans.append((rng.randint(0, 5), ops))
+    return plans
+
+
+class TestBulkStepping:
+    """Bulk-applied repeats against the same Costs yielded one step at
+    a time: stats, trace, clocks, busy cycles and lock-grant order must
+    all be equal."""
+
+    @staticmethod
+    def _check(plans, machine=SEQUENT_BALANCE, processors=None):
+        whole = _simulate(machine, plans, repeated=True,
+                          processors=processors)
+        steps = _simulate(machine, plans, repeated=False,
+                          processors=processors)
+        assert whole == steps
+        return whole
+
+    @pytest.mark.parametrize("processors", [None, 2])
+    @pytest.mark.parametrize("machine", _ALL_MACHINES,
+                             ids=lambda m: m.key)
+    def test_random_process_sets(self, machine, processors):
+        rng = random.Random(f"bulk-{machine.key}-{processors}")
+        for _ in range(400):
+            self._check(_random_plans(rng), machine, processors)
+
+    def test_random_zero_cycle_repeats(self):
+        rng = random.Random("bulk-zero")
+        for _ in range(300):
+            self._check(_random_plans(rng, cycles=(0, 0, 1, 2)))
+
+    @staticmethod
+    def _first_granted(plans):
+        _stats, grants, _trace, _busy = TestBulkStepping._check(plans)
+        return grants[0][0]
+
+    def test_equal_cycles_later_started_run_pops_first(self):
+        # p0 steps 2, 4, ...; p1's run starts at 4 and meets p0 at
+        # every later clock: p1's entry there is older, so p1 stays
+        # ahead and reaches the lock at 12 first
+        plans = [(0, [("cost", 2, 1, 6), ("lock", 0, 1)]),
+                 (2, [("cost", 2, 1, 5), ("lock", 0, 1)])]
+        assert self._first_granted(plans) == "p1"
+
+    def test_equal_cycles_and_start_fall_back_to_push_order(self):
+        plans = [(0, [("cost", 3, 1, 4), ("lock", 0, 1)]),
+                 (0, [("cost", 3, 1, 4), ("lock", 0, 1)])]
+        assert self._first_granted(plans) == "p0"
+
+    def test_larger_step_pops_first_at_a_shared_clock(self):
+        # both reach 12: p0's last step left 10, p1's left 9
+        plans = [(0, [("cost", 2, 1, 6), ("lock", 0, 1)]),
+                 (0, [("cost", 3, 1, 4), ("lock", 0, 1)])]
+        assert self._first_granted(plans) == "p1"
+
+    def test_entry_already_queued_pops_before_a_step(self):
+        # p1 is queued at 10 by one Cost before p0's steps get there
+        plans = [(0, [("cost", 2, 1, 5), ("lock", 0, 1)]),
+                 (0, [("cost", 10, 1, 1), ("lock", 0, 1)])]
+        assert self._first_granted(plans) == "p1"
+
+    def test_zero_cycle_runs_take_turns(self):
+        # zero-cycle steps stay at one clock and re-queue behind each
+        # other, so the shorter run finishes first
+        plans = [(0, [("cost", 0, 1, 6), ("lock", 0, 1)]),
+                 (0, [("cost", 0, 1, 3), ("lock", 0, 1)]),
+                 (0, [("cost", 1, 1, 1), ("lock", 0, 1)])]
+        stats, grants, _trace, _busy = self._check(plans)
+        assert [name for name, _k in grants] == ["p1", "p0", "p2"]
+        assert stats.events == 6 + 3 + 1 + 3 * 3 + 3
 
 
 class TestLocks:
