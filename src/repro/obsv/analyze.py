@@ -8,8 +8,8 @@ both execution paths:
   a duration): barrier/critical/askfor waits, critical holds,
   asyncvar blocks — plus instants for barrier episodes and
   selfscheduled chunk dispatches;
-* **simulator** traces are instant lock verbs (``waiting on`` /
-  ``granted`` / ``acquired`` / ``released``) and ``block``/``woken``
+* **simulator** traces are instant lock operations (``wait`` /
+  ``grant`` / ``acquire`` / ``release``) and ``block``/``woken``
   pairs; :func:`normalize_spans` pairs them back into wait and hold
   spans per lane.
 
@@ -91,11 +91,12 @@ def normalize_spans(
         events: list[TraceEvent]) -> tuple[list[Span], SpanMeta]:
     """Pair instants into spans; pass native spans through.
 
-    Simulator lanes run a small state machine: ``waiting on X`` opens
-    a wait closed by ``granted X``; ``granted``/``acquired`` opens a
-    hold closed by ``released X``; ``block KEY`` opens a wait closed
-    by the lane's next ``woken``.  Unclosed opens at end of trace are
-    closed at the lane's last timestamp (the run ended mid-wait).
+    Simulator lanes run a small state machine over the operations:
+    ``wait`` on X opens a wait closed by ``grant`` of X;
+    ``grant``/``acquire`` opens a hold closed by ``release`` of X;
+    ``block`` opens a wait closed by the lane's next ``woken``.
+    Unclosed opens at end of trace are closed at the lane's last
+    timestamp (the run ended mid-wait).
     """
     spans: list[Span] = []
     bounds: dict[str, tuple[float, float]] = {}

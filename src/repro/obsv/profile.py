@@ -107,9 +107,13 @@ def render_profile(analysis: TraceAnalysis, *,
         lines[-1] += f"   source: {source}"
     dropped = analysis.meta.get("dropped_events")
     if dropped:
+        simulated = analysis.meta.get("clock") == "cycles"
+        cause = ("simulator's trace bound; attribution is a lower "
+                 "bound (trace a smaller run)" if simulated else
+                 "ring buffer; attribution is a lower bound "
+                 "(re-run with a larger --trace-buffer)")
         lines.append(f"WARNING: {dropped} event(s) were dropped by the "
-                     "ring buffer; attribution is a lower bound "
-                     "(re-run with a larger --trace-buffer)")
+                     f"{cause}")
 
     lines.append("")
     lines.append(f"--- contention ranking (by total {unit} wait) ---")

@@ -584,12 +584,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _dump_codegen(args.dump_codegen, result, args.backend)
     trace_file = None
     native = args.backend != "sim"
-    dropped = result.trace_dropped \
-        if native and args.trace is not None else 0
+    dropped = result.trace_dropped if args.trace is not None else 0
     if dropped:
+        remedy = ("(ring buffer overflow); re-run with a larger "
+                  "--trace-buffer" if native else
+                  "(the simulator keeps a trace's first events); trace "
+                  "a smaller run")
         print(f"force: warning: {dropped} trace event(s) dropped "
-              "(ring buffer overflow); re-run with a larger "
-              "--trace-buffer", file=sys.stderr)
+              f"{remedy}", file=sys.stderr)
     if args.trace is not None and args.trace != "-":
         from repro.trace.export import write_trace_file
         meta = {"source": args.source, "machine": machine.key,
@@ -597,11 +599,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "clock": "seconds" if native else "cycles"}
         if dropped:
             meta["dropped_events"] = dropped
+        events = result.trace_events()
         format_used = write_trace_file(
-            args.trace, result.trace_events(),
-            format=args.trace_format, meta=meta)
+            args.trace, events, format=args.trace_format, meta=meta)
         trace_file = args.trace
-        print(f"trace: {len(result.trace)} events written to "
+        print(f"trace: {len(events)} events written to "
               f"{args.trace} ({format_used})", file=sys.stderr)
     metrics_file = None
     if args.metrics is not None:
@@ -663,11 +665,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   "traces; use --trace FILE with the native backends",
                   file=sys.stderr)
         else:
-            from repro.sim.timeline import lock_contention_report, \
-                render_timeline
-            print(render_timeline(result.trace), file=sys.stderr)
+            from repro.sim.timeline import lock_contention_report
+            from repro.trace.export import to_text
+            events = result.trace_events()
+            print(to_text(events), file=sys.stderr)
             print("--- lock contention ---", file=sys.stderr)
-            print(lock_contention_report(result.trace), file=sys.stderr)
+            print(lock_contention_report(events), file=sys.stderr)
     if args.utilization:
         if native:
             print("force: note: --utilization is a simulator report; "
@@ -740,10 +743,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         if dropped:
+            cause = ("the simulator's trace bound; the summary is a "
+                     "lower bound (trace a smaller run)"
+                     if meta.get("clock") == "cycles" else
+                     "ring-buffer overflow; the summary is a lower "
+                     "bound (re-run with a larger --trace-buffer)")
             print(f"force: warning: this trace lost {dropped} "
-                  "event(s) to ring-buffer overflow; the summary is "
-                  "a lower bound (re-run with a larger "
-                  "--trace-buffer)", file=sys.stderr)
+                  f"event(s) to {cause}", file=sys.stderr)
         print(render_trace_summary(summary, as_json=False))
     return 0
 

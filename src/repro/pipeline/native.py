@@ -76,7 +76,7 @@ from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.force import Force
 from repro.runtime.probe import LockWord
 from repro.runtime.supervisor import RetryPolicy, SupervisedRun
-from repro.trace.adapter import _categorize_lock
+from repro.trace.events import lock_kind
 
 _FRCSHB = re.compile(r'CALL\s+FRCSHB\("(\w+)"\)')
 _DIRECTIVE = re.compile(r"^C\$FORCE\s+SHARED\s+(\w+)\s*$", re.MULTILINE)
@@ -483,8 +483,8 @@ class _NativeRuntime(ExternalCallHandler):
     # The translated program synchronises through SPINLK/SPINUN on the
     # macro layer's LOGICAL lock variables; the variable *names* carry
     # the construct (BARWIN/BARWOT barrier gates, ZZL<label> selfsched
-    # index locks, anything else a critical section) — the same
-    # convention the simulator trace adapter categorises by.  When the
+    # index locks, anything else a critical section), read by the one
+    # rule the simulator's locks use too (`lock_kind`).  When the
     # Force is observed, each lock round is one probe lock round: wait
     # and hold spans on the acquiring lane, and for critical sections
     # the stats and metrics counts, so `force profile` and `force tune`
@@ -496,7 +496,7 @@ class _NativeRuntime(ExternalCallHandler):
         if probe is None:
             self.sync.acquire(ref, label)
             return
-        held = probe.lock(_categorize_lock(label), label,
+        held = probe.lock(lock_kind(label), label,
                           _RefLock(self.sync, ref, label))
         held.acquire()
         self._lock_holds[(self.sync.storage_key(ref),
@@ -518,7 +518,7 @@ class _NativeRuntime(ExternalCallHandler):
         # analyzer can resolve gate waiters to this lane.
         self.sync.release(ref)
         label = self._label(ref, frame)
-        probe.event(_categorize_lock(label), label, "release")
+        probe.event(lock_kind(label), label, "release")
 
     # -- helpers -------------------------------------------------------
     @staticmethod

@@ -23,7 +23,8 @@ from repro.machines.model import MachineModel, SharingBinding
 from repro.pipeline.compile import TranslationResult, force_translate
 from repro.sim.events import HaltSim
 from repro.sim.force_runtime import ForceRuntime, SharingRegistry
-from repro.sim.scheduler import Scheduler, SimStats, trace_triples
+from repro.sim.scheduler import Scheduler, SimStats, trace_texts
+from repro.sim.scheduler import trace_events as sim_trace_events
 
 
 @dataclass
@@ -42,8 +43,11 @@ class RunResult:
     #: linker commands produced by the Sequent two-run protocol
     linker_commands: list[str] = field(default_factory=list)
     memory_plan: SharedRegionPlan | None = None
-    #: the scheduler's flat trace (:attr:`trace` pairs it up)
+    #: the scheduler's flat trace of typed records (:attr:`trace` and
+    #: :meth:`trace_events` group it)
     trace_fields: list = field(default_factory=list, repr=False)
+    #: traced events past the scheduler's bound (it keeps the first)
+    trace_dropped: int = 0
     #: program units source codegen refused and the tree walker ran
     #: (unit name → reason); empty when everything ran generated code
     compile_fallbacks: dict[str, str] = field(default_factory=dict)
@@ -64,12 +68,13 @@ class RunResult:
 
     @cached_property
     def trace(self) -> list[tuple[int, str, str]]:
-        """(time, process, event) triples when run with ``trace=True``.
+        """(time, process, text) triples when run with ``trace=True``:
+        the text view of the trace records.
 
         Built on first read: a traced run whose trace nobody reads
         allocates no per-event tuple.
         """
-        return trace_triples(self.trace_fields)
+        return trace_texts(self.trace_fields)
 
     @property
     def makespan(self) -> int:
@@ -88,13 +93,13 @@ class RunResult:
     def trace_events(self):
         """The run's trace in the unified event model.
 
-        Adapts the scheduler's ``(time, process, text)`` triples to
-        :class:`repro.trace.events.TraceEvent` so simulated runs share
-        the native runtime's exporters (Chrome trace JSON, JSONL,
-        text) and the ``force trace`` summaries.
+        Each :class:`repro.trace.events.TraceEvent` comes straight from
+        the scheduler's typed record (kind, name and operation fixed
+        where the event happened, the timeline text as ``detail``), so
+        simulated runs share the native runtime's exporters (Chrome
+        trace JSON, JSONL, text) and the ``force trace`` summaries.
         """
-        from repro.trace.adapter import events_from_sim_trace
-        return events_from_sim_trace(self.trace)
+        return sim_trace_events(self.trace_fields)
 
 
 def sim_stats_dict(machine: MachineModel, nproc: int,
@@ -261,6 +266,7 @@ def force_run(translation: TranslationResult, nproc: int, *,
         linker_commands=linker_commands,
         memory_plan=memory_plan,
         trace_fields=scheduler.trace_fields,
+        trace_dropped=scheduler.trace_dropped,
         compile_fallbacks=interp.compile_fallbacks,
         kernel_eligible=interp.kernel_eligible,
         kernelized_doalls=interp.codegen_kernelized,

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 
+from repro.trace.events import lock_kind
+
 _lock_ids = count(1)
 
 
@@ -31,12 +33,13 @@ class SimLock:
         self.lock_id = next(_lock_ids)
         if not self.name:
             self.name = f"lock{self.lock_id}"
-        # The scheduler's trace texts, formatted once per lock rather
-        # than once per lock operation.
-        self.acquired_text = f"acquired {self.name}"
-        self.waiting_text = f"waiting on {self.name}"
-        self.granted_text = f"granted {self.name}"
-        self.released_text = f"released {self.name}"
+        # The scheduler's trace records, (kind, name, op, text), built
+        # once per lock rather than once per lock operation.
+        kind, name = lock_kind(self.name), self.name
+        self.acquired = (kind, name, "acquire", f"acquired {name}")
+        self.waiting = (kind, name, "wait", f"waiting on {name}")
+        self.granted = (kind, name, "grant", f"granted {name}")
+        self.released = (kind, name, "release", f"released {name}")
 
     def __hash__(self) -> int:
         return self.lock_id

@@ -39,10 +39,18 @@ from repro.sim.events import (
     Wake,
 )
 from repro.sim.lock import SimLock
+from repro.trace.events import TraceEvent
 
 
 #: a trace keeps the first 100,000 events, three fields each
 _MAX_TRACE_FIELDS = 3 * 100_000
+
+#: the process-lifecycle trace records, (kind, name, op, text) as
+#: :class:`SimLock` builds its own
+_SPAWNED = ("sched", "", "spawned", "spawned")
+_WOKEN = ("sched", "", "woken", "woken")
+_HALT = ("sched", "", "halt", "halt")
+_DONE = ("sched", "", "done", "done")
 
 #: the wall-clock deadline is read each time the event count crosses a
 #: multiple of this
@@ -84,10 +92,37 @@ def _steps_before(clock: int, cycles: int, seq: int, left: int,
     return n
 
 
-def trace_triples(fields: list) -> list[tuple[int, str, str]]:
-    """Pair up a flat trace into ``(time, process, text)`` triples."""
+def _block_record(key: Hashable) -> tuple[str, str, str, str]:
+    """The trace record of a wait on ``key``, by the key's leading tag:
+    ``fe-full``/``fe-empty`` (a full/empty cell) and ``queue`` (an
+    askfor pool) name the wait by the whole key; any other tag names a
+    scheduler wait (a join, a barrier algorithm's flag) by the tag
+    alone, since the rest is a raw object id."""
+    tag = key[0] if type(key) is tuple and key else None
+    if tag == "fe-full" or tag == "fe-empty":
+        kind, name = "asyncvar", str(key)
+    elif tag == "queue":
+        kind, name = "askfor", str(key)
+    else:
+        kind, name = "sched", tag if isinstance(tag, str) else str(key)
+    return (kind, name, "block", f"block {key}")
+
+
+def trace_texts(fields: list) -> list[tuple[int, str, str]]:
+    """A flat trace as ``(time, process, text)`` triples."""
     values = iter(fields)
-    return list(zip(values, values, values))
+    return [(when, who, record[3])
+            for when, who, record in zip(values, values, values)]
+
+
+def trace_events(fields: list) -> list[TraceEvent]:
+    """A flat trace as :class:`~repro.trace.events.TraceEvent` s, the
+    record's text kept as ``detail``."""
+    values = iter(fields)
+    return [TraceEvent(ts=when, proc=who, kind=kind, name=name, op=op,
+                       detail=text)
+            for when, who, (kind, name, op, text)
+            in zip(values, values, values)]
 
 
 class ProcState(Enum):
@@ -181,10 +216,13 @@ class Scheduler:
         self.max_events = max_events
         self.deadline = deadline
         self.trace_enabled = trace
-        #: the trace, flat: time, process name and text of each event in
-        #: turn.  Recording stores three references and allocates no
-        #: tuple; :attr:`trace` pairs them up when read.
+        #: the trace, flat: time, process name and ``(kind, name, op,
+        #: text)`` record of each event in turn.  Recording stores three
+        #: references and allocates no tuple; :attr:`trace` and
+        #: :func:`trace_events` group them when read.
         self.trace_fields: list = []
+        #: events past the trace's bound, which keeps the first ones
+        self.trace_dropped = 0
         self.stats = SimStats()
         self._heap: list[tuple[int, int, SimProcess]] = []
         #: processes part-way through a repeated Cost: their steps wait
@@ -218,7 +256,7 @@ class Scheduler:
         self._procs.append(proc)
         self._push(proc)
         self.stats.processes += 1
-        self._trace(proc, "spawned")
+        self._trace(proc, _SPAWNED)
         return proc
 
     def new_lock(self, name: str = "") -> SimLock:
@@ -437,7 +475,8 @@ class Scheduler:
         elif type(event) is ReleaseLock:
             self._release(proc, event.lock)
         elif type(event) is Block:
-            self._trace(proc, f"block {event.key}")
+            if self.trace_enabled:
+                self._trace(proc, _block_record(event.key))
             proc.state = ProcState.BLOCKED
             proc.block_start = proc.clock
             proc.blocked_on = event.key
@@ -450,10 +489,12 @@ class Scheduler:
             child = self.spawn(event.generator, event.name,
                                start_time=proc.clock,
                                on_exit=event.on_exit)
-            self._trace(proc, f"spawn {child.name}")
+            if self.trace_enabled:
+                self._trace(proc, ("sched", child.name, "spawn",
+                                   f"spawn {child.name}"))
             self._push(proc)
         elif type(event) is HaltSim or type(event) is Halt:
-            self._trace(proc, "halt")
+            self._trace(proc, _HALT)
             self.stats.halted = True
             self.stats.halt_message = getattr(event, "message", None)
             self._halted = True
@@ -473,7 +514,7 @@ class Scheduler:
         self.stats.lock_acquisitions += 1
         if not lock.locked:
             lock.locked = True
-            self._trace(proc, lock.acquired_text)
+            self._trace(proc, lock.acquired)
             self._push(proc)
             return
         lock.contended += 1
@@ -486,7 +527,7 @@ class Scheduler:
         proc.block_start = proc.clock
         proc.blocked_on = lock
         lock.waiters.append(proc)
-        self._trace(proc, lock.waiting_text)
+        self._trace(proc, lock.waiting)
         # Processor occupancy while waiting depends on the mechanism:
         # spinners keep their CPU (that is what spinning is); syscall
         # and hardware full/empty waiters release it; a combined lock
@@ -511,11 +552,11 @@ class Scheduler:
             # Direct handoff: the lock stays locked for the waiter.
             waiter.state = ProcState.READY
             waiter.blocked_on = None
-            self._trace(waiter, lock.granted_text)
+            self._trace(waiter, lock.granted)
             self._push(waiter)
         else:
             lock.locked = False
-        self._trace(proc, lock.released_text)
+        self._trace(proc, lock.released)
         self._push(proc)
 
     def _charge_wait(self, waiter: SimProcess, grant_time: int) -> None:
@@ -556,7 +597,7 @@ class Scheduler:
         proc.blocked_on = None
         penalty = self.machine.costs.shared_access_penalty
         proc.clock = max(proc.clock, at_time) + penalty
-        self._trace(proc, "woken")
+        self._trace(proc, _WOKEN)
         self._push(proc)
 
     def _release_cpu(self, proc: SimProcess, at_time: int) -> None:
@@ -571,7 +612,7 @@ class Scheduler:
 
     def _finish(self, proc: SimProcess) -> None:
         proc.state = ProcState.DONE
-        self._trace(proc, "done")
+        self._trace(proc, _DONE)
         self._release_cpu(proc, proc.clock)
         if proc.on_exit is not None:
             proc.on_exit(proc)
@@ -580,17 +621,20 @@ class Scheduler:
         if proc.state is ProcState.READY:
             heapq.heappush(self._heap, (proc.clock, next(self._seq), proc))
 
-    def _trace(self, proc: SimProcess, what: str) -> None:
-        fields = self.trace_fields
-        if self.trace_enabled and len(fields) < _MAX_TRACE_FIELDS:
-            fields.append(proc.clock)
-            fields.append(proc.name)
-            fields.append(what)
+    def _trace(self, proc: SimProcess, record: tuple) -> None:
+        if self.trace_enabled:
+            fields = self.trace_fields
+            if len(fields) < _MAX_TRACE_FIELDS:
+                fields.append(proc.clock)
+                fields.append(proc.name)
+                fields.append(record)
+            else:
+                self.trace_dropped += 1
 
     @property
     def trace(self) -> list[tuple[int, str, str]]:
         """The ``(time, process, text)`` triples recorded so far."""
-        return trace_triples(self.trace_fields)
+        return trace_texts(self.trace_fields)
 
     def _describe_blocker(self, proc: SimProcess) -> str:
         blocker = proc.blocked_on

@@ -1,55 +1,18 @@
-"""Render scheduler traces as text timelines.
+"""Simulator reports over a run's statistics and trace events.
 
-A compact observability tool for simulated runs: per-process lanes of
-simulated time with lock acquire/release, blocking and wake events, so
-barrier episodes, convoys and serialization are visible at a glance.
-
-::
-
-    t=    1234 | summer-2     | waiting on BARWIN
-    t=    1260 | summer-1     | released BARWIN
-    ...
-
-plus a utilization summary per process.
-
-The text rendering goes through the unified trace model
-(:mod:`repro.trace`): raw scheduler triples are adapted to
-:class:`~repro.trace.events.TraceEvent` and formatted by the shared
-:func:`repro.trace.export.to_text`, so the simulator timeline and the
-native runtime's traces print identically.
+The text timeline itself is :func:`repro.trace.export.to_text` over
+:meth:`repro.pipeline.run.RunResult.trace_events`, one line per event
+with the scheduler's own text.  This module adds the simulator-only
+reports: a utilization chart per process and the most contended locks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.scheduler import SimStats
-from repro.trace.adapter import events_from_sim_trace
-from repro.trace.export import to_text
+from repro.trace.events import TraceEvent
 
-
-@dataclass(frozen=True)
-class TimelineOptions:
-    """Rendering options for :func:`render_timeline`."""
-
-    max_events: int = 200
-    #: only show events whose text contains one of these (None = all)
-    only: tuple[str, ...] | None = None
-    width: int = 78
-
-
-def render_timeline(trace: list[tuple[int, str, str]],
-                    options: TimelineOptions | None = None) -> str:
-    """Format a collected trace (run with ``trace=True``).
-
-    Accepts raw scheduler triples and renders them through the unified
-    trace model, so filtering and truncation behave the same for
-    simulated and native event streams.
-    """
-    options = options or TimelineOptions()
-    return to_text(events_from_sim_trace(trace),
-                   max_events=options.max_events,
-                   only=options.only)
+#: the lock operations the scheduler records
+_LOCK_OPS = frozenset(["acquire", "wait", "grant", "release"])
 
 
 def render_utilization(stats: SimStats, *, width: int = 40) -> str:
@@ -66,18 +29,16 @@ def render_utilization(stats: SimStats, *, width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def lock_contention_report(trace: list[tuple[int, str, str]],
+def lock_contention_report(events: list[TraceEvent],
                            top: int = 10) -> str:
     """The most contended locks of a run, from its trace events."""
     locks = {}
-    for _when, _who, what in trace:
-        for verb in ("acquired ", "waiting on ", "granted ", "released "):
-            if what.startswith(verb):
-                name = what[len(verb):]
-                entry = locks.setdefault(name, [0, 0])
-                entry[0] += 1
-                if verb == "waiting on ":
-                    entry[1] += 1
+    for event in events:
+        if event.op in _LOCK_OPS:
+            entry = locks.setdefault(event.name, [0, 0])
+            entry[0] += 1
+            if event.op == "wait":
+                entry[1] += 1
     rows = sorted(locks.items(), key=lambda kv: -kv[1][1])[:top]
     if not rows:
         return "(no lock events in trace)"

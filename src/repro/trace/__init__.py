@@ -13,8 +13,6 @@ exporters, summaries and diagnostics serves both:
 * :mod:`repro.trace.export` — Chrome trace-event JSON (open the file
   in Perfetto or ``chrome://tracing``), JSONL, and the classic text
   timeline, all rendered from the one event model;
-* :mod:`repro.trace.adapter` — converts the simulator's
-  ``(time, process, text)`` trace triples into the same model;
 * :class:`StallWatchdog` — a daemon sampler that dumps which process
   is parked on which construct when the event stream goes quiet;
 * :mod:`repro.trace.summary` — post-processes a trace (events or a
@@ -22,7 +20,6 @@ exporters, summaries and diagnostics serves both:
   subcommand.
 """
 
-from repro.trace.adapter import events_from_sim_trace
 from repro.trace.collector import TraceCollector
 from repro.trace.events import KINDS, TraceEvent
 from repro.trace.export import (
@@ -42,7 +39,6 @@ __all__ = [
     "TraceCollector",
     "StallWatchdog",
     "render_stall_report",
-    "events_from_sim_trace",
     "to_chrome",
     "to_jsonl",
     "to_text",

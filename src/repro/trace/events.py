@@ -24,8 +24,8 @@ mapping:
     What happened to it: ``wait``, ``hold``, ``episode``, ``chunk``,
     ``put``, ``got``, ``produce``, ``consume``, ``acquire`` …
 ``detail``
-    Free text; for simulator events the original timeline line, so
-    the classic text rendering round-trips byte-for-byte.
+    Free text; for simulator events the scheduler's timeline line, so
+    the classic text rendering is a pass-through.
 """
 
 from __future__ import annotations
@@ -39,6 +39,19 @@ from typing import Any
 #: restore-from-snapshot instants)
 KINDS = ("barrier", "critical", "selfsched", "askfor", "asyncvar",
          "sched", "fault", "checkpoint", "recover")
+
+
+def lock_kind(name: str) -> str:
+    """The construct a lock variable serves, by the macro library's
+    naming: ``BARWIN``/``BARWOT`` are the barrier's two gate locks and
+    ``ZZL<label>`` is a selfscheduled loop's index lock (any case, any
+    subscript); every other lock guards a critical section."""
+    base = name.upper().split("(", 1)[0]
+    if base in ("BARWIN", "BARWOT"):
+        return "barrier"
+    if base.startswith("ZZL"):
+        return "selfsched"
+    return "critical"
 
 
 @dataclass(frozen=True, slots=True)

@@ -521,6 +521,39 @@ class TestTraceBufferDrops:
         assert json.loads(captured.out)["dropped_events"] == 0
         assert "dropped" not in captured.err
 
+    def test_simulator_trace_past_its_bound_warns_and_reports(
+            self, tmp_path, capsys):
+        # 25,000 Critical rounds on 4 processes make some 125,000
+        # events; the simulator keeps the first 100,000
+        import json
+
+        from repro.core import programs
+        source = tmp_path / "sum.frc"
+        source.write_text(programs.render("sum_critical", n=25000),
+                          encoding="utf-8")
+        trace = tmp_path / "sum.json"
+        assert main(["run", str(source), "--machine", "sequent-balance",
+                     "--nproc", "4", "--trace", str(trace),
+                     "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        dropped = json.loads(captured.out)["dropped_events"]
+        assert dropped > 0
+        assert f"{dropped} trace event(s) dropped" in captured.err
+        assert "--trace-buffer" not in captured.err
+        document = json.loads(trace.read_text(encoding="utf-8"))
+        assert document["otherData"]["dropped_events"] == dropped
+        assert sum(event["ph"] != "M"
+                   for event in document["traceEvents"]) == 100_000
+        assert main(["trace", str(trace)]) == 0
+        err = capsys.readouterr().err
+        assert f"lost {dropped} event(s)" in err
+        assert "--trace-buffer" not in err
+        assert main(["profile", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert f"WARNING: {dropped} event(s) were dropped by the " \
+            "simulator's trace bound" in out
+        assert "--trace-buffer" not in out
+
 
 class TestSupervisedRunFlags:
     """`force run --checkpoint/--resume/--retries/--min-nproc`."""

@@ -654,3 +654,59 @@ class TestStats:
         sched.run()
         assert sched.trace == []
         assert sched.trace_fields == []
+        assert sched.trace_dropped == 0
+
+    def test_events_past_the_bound_are_counted_as_dropped(self):
+        # spawned + 60,000 acquire/release pairs + done: 120,002 events,
+        # of which the trace keeps the first 100,000
+        sched = make_scheduler(trace=True)
+        lock = sched.new_lock("L")
+
+        def work():
+            for _ in range(60_000):
+                yield AcquireLock(lock)
+                yield ReleaseLock(lock)
+
+        sched.spawn(work(), name="w")
+        sched.run()
+        assert len(sched.trace_fields) == 3 * 100_000
+        assert sched.trace_dropped == 20_002
+        assert sched.trace[-1][2] == "acquired L"
+
+    def test_untraced_run_formats_no_block_key(self):
+        calls = []
+
+        class Key:
+            def __hash__(self):
+                return 7
+
+            def __repr__(self):
+                calls.append("repr")
+                return "Key()"
+
+            def __str__(self):
+                calls.append("str")
+                return "key-7"
+
+        def run(trace):
+            sched = make_scheduler(trace=trace)
+            key = Key()
+
+            def sleeper():
+                yield Block(key)
+
+            def waker():
+                yield Cost(10)
+                yield Wake(key)
+
+            sched.spawn(sleeper(), name="s")
+            sched.spawn(waker(), name="w")
+            sched.run()
+            return sched
+
+        run(trace=False)
+        assert calls == []
+        sched = run(trace=True)
+        assert calls
+        assert ("s", "block key-7") in [(who, what)
+                                         for _t, who, what in sched.trace]
