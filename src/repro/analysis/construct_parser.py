@@ -8,10 +8,18 @@ synchronization constructs per routine, interleaved with the raw
 Fortran statements, and fills a per-routine symbol table from the
 declaration macros.
 
+Every Fortran statement, and every expression a Force statement
+carries (DOALL bounds, Forcecall actuals, Produce/Consume operands, a
+Csect condition), is parsed by :mod:`repro.fortran.parser` — the front
+end ``force run`` uses — so the checkers read the same trees the code
+generator lowers.  A routine ends at its Fortran ``END``; plain
+subroutines after it are not Force code and are left out.
+
 Structural problems (unmatched ends, label mismatches, a Barrier
-nested inside a Critical) are reported as diagnostics *during* the
-parse — the parser recovers and keeps going so the other checkers can
-still run over a malformed program.
+nested inside a Critical) and statements the front end rejects are
+reported as diagnostics *during* the parse — the parser recovers and
+keeps going so the other checkers can still run over a malformed
+program.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from repro.analysis import fortranish
+from repro._util.errors import FortranError
 from repro.analysis.diagnostics import Diagnostic, error
 from repro.analysis.symbols import (
     ASYNC,
@@ -32,6 +40,9 @@ from repro.analysis.symbols import (
     SymbolTable,
     split_decl_list,
 )
+from repro.fortran import ast_nodes as ast
+from repro.fortran.accesses import guard, logical_if_tail
+from repro.fortran.parser import parse_expression_list, parse_statement
 from repro.sedstage import translate_force_source
 
 _MACRO_CALL = re.compile(r"^\s*(\w+)\((.*)\)\s*$")
@@ -76,6 +87,12 @@ _LEAVES = frozenset({
     "forcecall", "externf", "end_declarations",
 })
 
+#: Force leaf statement -> indices of its arguments that are expressions.
+_EXPRESSION_ARGS = {
+    "forcecall": (1,), "produce": (0, 1), "consume": (0, 1),
+    "copyasync": (0, 1), "putwork": (1,),
+}
+
 KNOWN_MACROS = (frozenset(_OPENERS) | frozenset(_CLOSERS) | frozenset(_DECLS)
                 | _LEAVES | {"force_main", "force_sub", "join_force",
                              "taskq_decl", "usect", "csect"})
@@ -84,12 +101,19 @@ KNOWN_MACROS = (frozenset(_OPENERS) | frozenset(_CLOSERS) | frozenset(_DECLS)
 _SINGLE_PROCESS = {"barrier", "section"}
 
 
+#: a parsed comma list: each expression with its own source text.
+Exprs = list[tuple[ast.Expr, str]]
+
+
 @dataclass
 class Stmt:
-    """A raw Fortran line inside a routine."""
+    """A Fortran statement inside a routine."""
 
     line: int
-    text: str
+    text: str                  #: statement text, label stripped
+    #: the parsed statement (its spans index ``text``); ``None`` when
+    #: the front end rejected it
+    node: ast.Stmt | None = None
 
 
 @dataclass
@@ -99,6 +123,9 @@ class MacroStmt:
     line: int
     name: str
     args: list[str]
+    #: per argument, the parsed expressions (spans index the argument
+    #: text); empty for arguments that are not expressions
+    exprs: tuple[Exprs, ...] = ()
 
 
 @dataclass
@@ -114,6 +141,9 @@ class Construct:
     #: loop-bound text per index var (``"1, N"`` / ``"1, N, 2"``).
     bounds: tuple[str, ...] = ()
     uid: int = 0               #: program-wide construct id, document order
+    #: parsed ``bounds`` (DOALL) or condition (Csect), like
+    #: :attr:`MacroStmt.exprs`
+    exprs: tuple[Exprs, ...] = ()
     body: list["Node"] = field(default_factory=list)
 
     def statement(self) -> str:
@@ -153,6 +183,8 @@ class ForceProgram:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: (outer lock, inner lock, line) for every nested Critical pair.
     lock_pairs: list[tuple[str, str, int]] = field(default_factory=list)
+    #: lines of statements the Fortran front end rejected
+    rejected: list[int] = field(default_factory=list)
 
 
 def parse_macro_call(line: str) -> tuple[str, list[str]] | None:
@@ -203,6 +235,33 @@ class _Parser:
         if container is not None:
             container.append(node)
 
+    def _reject(self, lineno: int, exc: FortranError) -> None:
+        self.program.rejected.append(lineno)
+        self._report(error(
+            "F002", lineno,
+            f"the Fortran front end rejects this statement: {exc}",
+            "force run parses it with the same front end; rewrite it "
+            "in the supported Fortran subset"))
+
+    def _expressions(self, lineno: int, text: str) -> Exprs:
+        if not text.strip():
+            return []
+        try:
+            return parse_expression_list(text)
+        except FortranError as exc:
+            self._reject(lineno, exc)
+            return []
+
+    def _statement(self, lineno: int, raw: str) -> None:
+        try:
+            node, text = parse_statement(raw)
+        except FortranError as exc:
+            self._reject(lineno, exc)
+            node, text = None, raw.strip()
+        self._append(Stmt(lineno, text, node))
+        if node.__class__ is ast.EndUnit:
+            self._close_routine(lineno)
+
     def _close_routine(self, lineno: int) -> None:
         for construct in reversed(self.stack):
             self._report(error(
@@ -218,8 +277,9 @@ class _Parser:
     def feed(self, lineno: int, sed_line: str, raw: str) -> None:
         call = parse_macro_call(sed_line)
         if call is None or call[0] not in KNOWN_MACROS:
-            if raw.strip() and raw[:1] not in ("C", "c", "*", "!"):
-                self._append(Stmt(lineno, raw))
+            if (self.routine is not None and raw.strip()
+                    and raw[:1] not in ("C", "c", "*", "!")):
+                self._statement(lineno, raw)
             return
         name, args = call
         if name in ("force_main", "force_sub"):
@@ -237,8 +297,11 @@ class _Parser:
         elif name == "taskq_decl":
             self._declare_symbol(Symbol(
                 name=args[0].upper(), storage=TASKQ, line=lineno))
-        elif name in _LEAVES:
-            self._append(MacroStmt(lineno, name, args))
+        elif name in _LEAVES and self.routine is not None:
+            wanted = _EXPRESSION_ARGS.get(name, ())
+            self._append(MacroStmt(lineno, name, args, tuple(
+                self._expressions(lineno, arg) if i in wanted else []
+                for i, arg in enumerate(args))))
 
     def finish(self, last_line: int) -> None:
         self._close_routine(last_line)
@@ -298,11 +361,14 @@ class _Parser:
             construct.label = args[0]
             construct.index_vars = (args[1],)
             construct.bounds = (args[2],) if len(args) > 2 else ("",)
+            construct.exprs = (self._expressions(lineno, construct.bounds[0]),)
         elif name in ("presched_do2", "selfsched_do2"):
             construct.label = args[0]
             construct.index_vars = (args[1], args[3])
             construct.bounds = (args[2] if len(args) > 2 else "",
                                 args[4] if len(args) > 4 else "")
+            construct.exprs = tuple(self._expressions(lineno, bound)
+                                    for bound in construct.bounds)
         elif name == "pcase":
             construct.name = args[0] if args else ""
         elif name == "askfor":
@@ -321,6 +387,7 @@ class _Parser:
             construct = Construct(kind="section", line=lineno, macro=name,
                                   name=name, uid=self.next_uid,
                                   label=args[0] if args else "")
+            construct.exprs = (self._expressions(lineno, construct.label),)
             self.next_uid += 1
             self._append(construct)
             self.stack.append(construct)
@@ -473,7 +540,10 @@ def walk_statements(routine: Routine) -> Iterator[tuple[Stmt, StmtContext]]:
     region is handled the way the runtime sees it.
     """
     if_stack: list[bool] = []
-    ident = routine.ident_var
+    ident = routine.ident_var.upper()
+
+    def mentions_ident(stmt, text: str) -> bool:
+        return bool(ident) and ident in guard(stmt, text).names
 
     def visit(nodes: list[Node], critical: int, single: int, askfor: int,
               indices: tuple[str, ...]) -> Iterator[tuple[Stmt, StmtContext]]:
@@ -487,38 +557,28 @@ def walk_statements(routine: Routine) -> Iterator[tuple[Stmt, StmtContext]]:
                     indices + node.index_vars
                     if node.kind == "doall" else indices)
             elif isinstance(node, Stmt):
-                form = fortranish.classify_if(node.text)
-                if form is not None:
-                    kind = form[0]
-                    if kind == "end_if":
-                        if if_stack:
-                            if_stack.pop()
-                        continue
-                    if kind == "block_if":
-                        if_stack.append(
-                            bool(ident)
-                            and fortranish.mentions(ident, form[1]))
-                        continue
-                    if kind == "else_if":
-                        if if_stack:
-                            if_stack[-1] = (
-                                bool(ident)
-                                and fortranish.mentions(ident, form[1]))
-                        continue
-                    if kind == "else":
-                        if if_stack:
-                            if_stack[-1] = False
-                        continue
-                    # logical IF: analyse the guarded tail statement.
-                    cond, tail = form[1], form[2]
-                    guarded = (any(if_stack)
-                               or (bool(ident)
-                                   and fortranish.mentions(ident, cond)))
-                    yield (Stmt(node.line, tail), StmtContext(
-                        critical, single, askfor, indices, guarded))
+                stmt = node.node
+                cls = stmt.__class__
+                if cls is ast.EndIf:
+                    if if_stack:
+                        if_stack.pop()
                     continue
+                if cls is ast.IfThen:
+                    if_stack.append(mentions_ident(stmt, node.text))
+                    continue
+                if cls is ast.ElseIf or cls is ast.Else:
+                    if if_stack:
+                        if_stack[-1] = (cls is ast.ElseIf and
+                                        mentions_ident(stmt, node.text))
+                    continue
+                guarded = any(if_stack)
+                if cls is ast.LogicalIf:
+                    # analyse the guarded tail statement.
+                    guarded = guarded or mentions_ident(stmt, node.text)
+                    tail = logical_if_tail(stmt, node.text)
+                    node = Stmt(node.line, tail, parse_statement(tail)[0])
                 yield (node, StmtContext(
-                    critical, single, askfor, indices, any(if_stack)))
+                    critical, single, askfor, indices, guarded))
 
     yield from visit(routine.body, 0, 0, 0, ())
 

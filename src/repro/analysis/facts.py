@@ -9,7 +9,9 @@ This module distils a :class:`~repro.analysis.summaries.ProgramSummary`
 into a JSON document the rest of the system can trust:
 
 * per-DOALL ``race_free`` — no detected race touches an access inside
-  that loop's body (matched by construct uid);
+  that loop's body (matched by construct uid), and the front end
+  parsed every statement of the file (a rejected statement's accesses
+  are unknown, so it leaves nothing proven);
 * per-variable ``privatizable`` — a shared scalar whose every phase of
   use *starts* with an unconditional replicated write, so the value
   never crosses a synchronization point or a process boundary and each
@@ -42,6 +44,7 @@ def build_file_facts(filename: str, summary: ProgramSummary,
         reports = detect(summary)
     racy_uids = {uid for report in reports for uid in report.frame_uids}
     racy_keys = {report.key for report in reports}
+    proven = not summary.program.rejected
 
     routines = []
     doalls = []
@@ -64,7 +67,7 @@ def build_file_facts(filename: str, summary: ProgramSummary,
                 "line": construct.line,
                 "macro": construct.macro,
                 "indices": [v.upper() for v in construct.index_vars],
-                "race_free": construct.uid not in racy_uids,
+                "race_free": proven and construct.uid not in racy_uids,
             })
 
     return {

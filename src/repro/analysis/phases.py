@@ -11,7 +11,11 @@ may-happen-in-parallel relation in :mod:`repro.analysis.mhp`.
 
 This module walks one routine and produces its ordered *event stream*:
 every Shared/private variable access, every ``Forcecall``, and every
-``Critical`` acquisition, each stamped with
+``Critical`` acquisition.  Accesses come from the statements and
+expressions :mod:`repro.analysis.construct_parser` parsed with the
+Fortran front end, read through :mod:`repro.fortran.accesses`; a
+statement the front end rejected contributes none (it is an F002
+error).  Each event is stamped with
 
 * the local ``phase`` ordinal,
 * the ``region`` kind (``replicated``, single-process ``barrier``
@@ -20,8 +24,9 @@ every Shared/private variable access, every ``Forcecall``, and every
 * the ``locks`` tuple of enclosing Critical names,
 * the enclosing DOALL ``frames`` (construct uid, index variables and
   loop-bound text — the partition evidence), and
-* the canonical ME-``guard`` text, when every path to the statement
-  runs under conditions naming the routine's process identifier.
+* the canonical ME-``guard`` text (the conditions' source text, upper
+  case, blanks collapsed), when every path to the statement runs
+  under conditions naming the routine's process identifier.
 
 Known limitation, by design: phases are assigned in document order, so
 a barrier inside a sequential ``DO`` loop separates the loop's earlier
@@ -33,14 +38,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis import fortranish
+from repro._util.errors import FortranError
 from repro.analysis.construct_parser import (
     Construct,
+    Exprs,
     MacroStmt,
     Node,
     Routine,
     Stmt,
 )
+from repro.fortran import ast_nodes as ast
+from repro.fortran.accesses import (
+    Access,
+    expression_reads,
+    guard,
+    statement_accesses,
+    target_accesses,
+)
+from repro.fortran.parser import parse_expression_list
 
 #: region kinds a statement can live in.
 REPLICATED = "replicated"
@@ -60,19 +75,20 @@ class DoallFrame:
 
     def lower_bound(self, index: str) -> str | None:
         """Text of the loop's lower bound for ``index``, if recorded."""
-        for var, bound in zip(self.indices, self.bounds):
-            if var == index and bound:
-                parts = fortranish.split_subscript(bound)
-                if parts:
-                    return parts[0]
-        return None
+        return self._bound(index, 0)
 
     def upper_bound(self, index: str) -> str | None:
+        return self._bound(index, 1)
+
+    def _bound(self, index: str, position: int) -> str | None:
         for var, bound in zip(self.indices, self.bounds):
             if var == index and bound:
-                parts = fortranish.split_subscript(bound)
-                if len(parts) > 1:
-                    return parts[1]
+                try:
+                    parts = parse_expression_list(bound)
+                except FortranError:
+                    return None     # unparsable text bounds nothing
+                if len(parts) > position:
+                    return parts[position][1]
         return None
 
 
@@ -215,8 +231,8 @@ class _Partitioner:
                 elif node.kind == "section":
                     section_ordinal += 1
                     if node.label:   # Csect condition, evaluated by all
-                        self._reads(node.label, node.line, region, locks,
-                                    frames)
+                        self._reads(_list_reads(node.exprs[0], node.label),
+                                    node.line, region, locks, frames)
                     self._visit(node.body, locks,
                                 f"section:{node.uid}:{section_ordinal}",
                                 frames)
@@ -230,39 +246,39 @@ class _Partitioner:
     def _bound_reads(self, node: Construct, region: str,
                      locks: tuple[str, ...],
                      frames: tuple[DoallFrame, ...]) -> None:
-        for bound in node.bounds:
-            if bound:
-                self._reads(bound, node.line, region, locks, frames)
+        for bound, exprs in zip(node.bounds, node.exprs):
+            self._reads(_list_reads(exprs, bound), node.line, region,
+                        locks, frames)
 
     def _statement(self, stmt: Stmt, locks: tuple[str, ...],
                    region: str, frames: tuple[DoallFrame, ...]) -> None:
-        form = fortranish.classify_if(stmt.text)
-        if form is not None and form[0] in ("block_if", "else_if",
-                                            "else", "end_if"):
-            kind = form[0]
-            if kind == "end_if":
-                if self.if_stack:
-                    self.if_stack.pop()
-                return
-            if kind in ("block_if", "else_if"):
-                cond = form[1]
-                self._reads(cond, stmt.line, region, locks, frames)
-                entry = (cond, bool(self.ident)
-                         and fortranish.mentions(self.ident, cond))
-                if kind == "block_if":
-                    self.if_stack.append(entry)
-                elif self.if_stack:
-                    self.if_stack[-1] = entry
-                self.out.statement_count += 1
-                return
-            if self.if_stack:   # bare ELSE: branch no longer ME-selected
+        node, text = stmt.node, stmt.text
+        cls = node.__class__
+        if cls is ast.EndIf:
+            if self.if_stack:
+                self.if_stack.pop()
+            return
+        if cls is ast.Else:
+            if self.if_stack:   # branch no longer ME-selected
                 self.if_stack[-1] = (self.if_stack[-1][0], False)
             return
         self.out.statement_count += 1
-        accesses, guard = fortranish.statement_accesses(stmt.text)
+        if node is None:
+            return      # rejected by the front end: reported as F002
+        accesses, guards = statement_accesses(node, text)
+        if cls is ast.IfThen or cls is ast.ElseIf:
+            self._reads(accesses, stmt.line, region, locks, frames)
+            cond = guard(node, text)
+            entry = (cond.text, bool(self.ident)
+                     and self.ident in cond.names)
+            if cls is ast.IfThen:
+                self.if_stack.append(entry)
+            elif self.if_stack:
+                self.if_stack[-1] = entry
+            return
         extra = None
-        if guard and self.ident and fortranish.mentions(self.ident, guard):
-            extra = _canonical(guard)
+        if self.ident and any(self.ident in g.names for g in guards):
+            extra = _canonical(" .AND. ".join(g.text for g in guards))
         for ref in accesses:
             site = self._site(stmt.line, region, locks, frames)
             if extra:
@@ -271,77 +287,87 @@ class _Partitioner:
                 site = Site(site.line, site.phase, site.region, site.locks,
                             merged, site.frames)
             self._emit_access(AccessEvent(
-                site=site, name=ref.name.upper(), subscript=ref.subscript,
+                site=site, name=ref.name, subscript=ref.subscript,
                 is_write=ref.is_write,
-                conditional=self._conditional() or (guard is not None
+                conditional=self._conditional() or (bool(guards)
                                                     and extra is None)))
 
     def _macro(self, node: MacroStmt, locks: tuple[str, ...],
                region: str, frames: tuple[DoallFrame, ...]) -> None:
         self.out.statement_count += 1
-        args = node.args
+        args, exprs = node.args, node.exprs
         if node.name == "join_force":
             self._boundary()
         elif node.name == "forcecall":
             callee = (args[0] if args else "").upper()
-            actuals = tuple(
-                a.strip() for a in
-                fortranish.split_subscript(args[1]) if a.strip()
-            ) if len(args) > 1 and args[1] else ()
+            actuals = exprs[1] if len(exprs) > 1 else []
             self._emit_call(CallEvent(
                 self._site(node.line, region, locks, frames),
-                callee, actuals))
-            for actual in actuals:
+                callee, tuple(text for _, text in actuals)))
+            for actual, _ in actuals:
                 # A plain NAME actual passes an address — no data read.
                 # Subscripts (A(I)) and value expressions (I+1) are
                 # evaluated at the call site.
-                parsed = fortranish.parse_assignment(f"{actual} = 0")
-                if parsed is not None and parsed.subscript is None:
+                if actual.__class__ is ast.Var:
                     continue
-                if parsed is not None and parsed.subscript is not None:
-                    self._reads(parsed.subscript, node.line, region, locks,
-                                frames)
-                else:
-                    self._reads(actual, node.line, region, locks, frames)
+                parts = (actual.args if actual.__class__ is ast.Apply
+                         else (actual,))
+                self._reads([ref for part in parts
+                             for ref in expression_reads(part, args[1])],
+                            node.line, region, locks, frames)
         elif node.name == "produce" and len(args) > 1:
             # Produce VAR = EXPR: VAR is Async (full/empty-synchronized,
             # excluded from race analysis); EXPR reads count.
-            self._reads(args[1], node.line, region, locks, frames)
-            self._async_subscript_reads(args[0], node.line, region, locks,
+            self._reads(_list_reads(exprs[1], args[1]), node.line, region,
+                        locks, frames)
+            self._async_subscript_reads(node, node.line, region, locks,
                                         frames)
         elif node.name in ("consume", "copyasync") and len(args) > 1:
             # ... into DEST writes DEST.
-            dest = fortranish.parse_assignment(f"{args[1]} = 0")
+            dest = _sole_reference(exprs[1])
             if dest is not None:
-                site = self._site(node.line, region, locks, frames)
+                write, *reads = target_accesses((dest,), args[1])
                 self._emit_access(AccessEvent(
-                    site=site, name=dest.name.upper(),
-                    subscript=dest.subscript, is_write=True,
-                    conditional=self._conditional()))
-                if dest.subscript:
-                    self._reads(dest.subscript, node.line, region, locks,
-                                frames)
-            self._async_subscript_reads(args[0], node.line, region, locks,
+                    site=self._site(node.line, region, locks, frames),
+                    name=write.name, subscript=write.subscript,
+                    is_write=True, conditional=self._conditional()))
+                self._reads(reads, node.line, region, locks, frames)
+            self._async_subscript_reads(node, node.line, region, locks,
                                         frames)
         elif node.name == "putwork" and len(args) > 1:
-            self._reads(args[1], node.line, region, locks, frames)
+            self._reads(_list_reads(exprs[1], args[1]), node.line, region,
+                        locks, frames)
 
-    def _async_subscript_reads(self, target: str, line: int, region: str,
-                               locks: tuple[str, ...],
+    def _async_subscript_reads(self, node: MacroStmt, line: int,
+                               region: str, locks: tuple[str, ...],
                                frames: tuple[DoallFrame, ...]) -> None:
         """``Produce V(I) = …``: V is Async, but I is an ordinary read."""
-        parsed = fortranish.parse_assignment(f"{target} = 0")
-        if parsed is not None and parsed.subscript:
-            self._reads(parsed.subscript, line, region, locks, frames)
+        target = _sole_reference(node.exprs[0])
+        if target is not None and target.__class__ is ast.Apply:
+            self._reads([ref for arg in target.args
+                         for ref in expression_reads(arg, node.args[0])],
+                        line, region, locks, frames)
 
-    def _reads(self, expr: str, line: int, region: str,
+    def _reads(self, refs: list[Access], line: int, region: str,
                locks: tuple[str, ...],
                frames: tuple[DoallFrame, ...]) -> None:
         site = self._site(line, region, locks, frames)
-        for ref in fortranish.expression_reads(expr):
+        for ref in refs:
             self._emit_access(AccessEvent(
-                site=site, name=ref.name.upper(), subscript=ref.subscript,
+                site=site, name=ref.name, subscript=ref.subscript,
                 is_write=False, conditional=self._conditional()))
+
+
+def _list_reads(exprs: Exprs, text: str) -> list[Access]:
+    """Reads of a parsed comma list whose spans index ``text``."""
+    return [ref for expr, _ in exprs for ref in expression_reads(expr, text)]
+
+
+def _sole_reference(exprs: Exprs) -> ast.Var | ast.Apply | None:
+    """The single variable reference a Force operand names, if it is one."""
+    if len(exprs) == 1 and exprs[0][0].__class__ in (ast.Var, ast.Apply):
+        return exprs[0][0]
+    return None
 
 
 def _canonical(condition: str) -> str:

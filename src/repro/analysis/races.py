@@ -15,7 +15,10 @@ for protection —
 
 * **lockset**: the two sites hold a common Critical name;
 * **address separation**: per-dimension symbolic affine analysis of
-  the subscripts proves either that the dimensions are disjoint
+  the subscripts — parsed by the Fortran front end into the
+  :func:`repro.fortran.accesses.affine` forms the DOALL kernel
+  recognizer also lowers from — proves either that the dimensions are
+  disjoint
   (distinct constants, a non-divisible stride offset, or an index
   range provably excluding the other side's term) or that a collision
   forces every DOALL index — and hence the iteration, and hence the
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis import fortranish
+from repro._util.errors import FortranError
 from repro.analysis.construct_parser import ForceProgram
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -49,7 +52,6 @@ from repro.analysis.diagnostics import (
     WitnessSite,
     error,
 )
-from repro.analysis.fortranish import CONST
 from repro.analysis.mhp import may_happen_in_parallel
 from repro.analysis.summaries import (
     ProgramSummary,
@@ -57,6 +59,9 @@ from repro.analysis.summaries import (
     summarize,
 )
 from repro.analysis.symbols import PARAM, SHARED
+from repro.fortran import ast_nodes as ast
+from repro.fortran.accesses import CONST, affine, affine_difference
+from repro.fortran.parser import parse_expression, parse_expression_list
 
 #: identifier classes inside a subscript dimension.
 _INDEX, _IDENT, _STABLE, _PRIVATE = "index", "ident", "stable", "private"
@@ -245,9 +250,9 @@ def _address_safe(a: ResolvedAccess, b: ResolvedAccess, classify) -> bool:
     common = {f.uid for f in a.frames} & {f.uid for f in b.frames}
     indices = frozenset(
         v for f in a.frames if f.uid in common for v in f.indices)
-    dims_a = fortranish.split_subscript(a.subscript)
-    dims_b = fortranish.split_subscript(b.subscript)
-    if len(dims_a) != len(dims_b):
+    dims_a = _dimensions(a.subscript)
+    dims_b = _dimensions(b.subscript)
+    if dims_a is None or dims_b is None or len(dims_a) != len(dims_b):
         return False
     forced: set[str] = set()
     for da, db in zip(dims_a, dims_b):
@@ -261,11 +266,20 @@ def _address_safe(a: ResolvedAccess, b: ResolvedAccess, classify) -> bool:
     return bool(indices) and forced >= indices
 
 
-def _dim_outcome(da: str, db: str, a: ResolvedAccess, b: ResolvedAccess,
-                 indices: frozenset[str],
+def _dimensions(subscript: str) -> list[ast.Expr] | None:
+    """The subscript's dimension expressions; ``None`` when the text
+    (rewritten by Forcecall substitution) no longer parses."""
+    try:
+        return [expr for expr, _ in parse_expression_list(subscript)]
+    except FortranError:
+        return None
+
+
+def _dim_outcome(da: ast.Expr, db: ast.Expr, a: ResolvedAccess,
+                 b: ResolvedAccess, indices: frozenset[str],
                  classify) -> tuple[str, tuple[str, ...]]:
-    fa = fortranish.parse_affine(da)
-    fb = fortranish.parse_affine(db)
+    fa = affine(da)
+    fb = affine(db)
     if fa is None or fb is None:
         return "nothing", ()
     partition_vars = {
@@ -321,10 +335,10 @@ def _dim_outcome(da: str, db: str, a: ResolvedAccess, b: ResolvedAccess,
                             (frame.upper_bound(var), -1)):
             if not bound:
                 continue
-            parsed = fortranish.parse_affine(bound)
+            parsed = affine(parse_expression(bound))
             if parsed is None:
                 continue
-            diff = fortranish.affine_difference(parsed, target)
+            diff = affine_difference(parsed, target)
             if diff is not None and diff * sign > 0:
                 return "disjoint", ()
     return "nothing", ()

@@ -9,10 +9,10 @@ two conflicting storage classes) silently shadows itself (F010).
 
 from __future__ import annotations
 
-from repro.analysis import fortranish
 from repro.analysis.construct_parser import ForceProgram, walk_statements
 from repro.analysis.diagnostics import Diagnostic, error, warning
 from repro.analysis.symbols import PARAM, PRIVATE
+from repro.fortran import ast_nodes as ast
 
 
 def check_scope(program: ForceProgram) -> list[Diagnostic]:
@@ -28,15 +28,18 @@ def _private_writes_in_single_sections(routine) -> list[Diagnostic]:
     for stmt, ctx in walk_statements(routine):
         if ctx.single_depth == 0:
             continue
-        assignment = fortranish.parse_assignment(stmt.text)
-        if assignment is None:
+        node = stmt.node
+        while node.__class__ is ast.LogicalIf:
+            node = node.body
+        if node.__class__ is not ast.Assign:
             continue
-        symbol = routine.symbols.lookup(assignment.name)
+        name = node.target.name
+        symbol = routine.symbols.lookup(name)
         if symbol is None or symbol.storage != PRIVATE:
             continue
         out.append(warning(
             "F009", stmt.line,
-            f"Private variable '{assignment.name}' is written inside a "
+            f"Private variable '{name}' is written inside a "
             "single-process section: the update is lost to the other "
             "processes",
             "declare it Shared, or move the update outside the "

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.analysis import fortranish
+from repro._util.errors import FortranError
 from repro.analysis.construct_parser import ForceProgram, Routine
 from repro.analysis.phases import (
     REPLICATED,
@@ -46,8 +46,9 @@ from repro.analysis.phases import (
     partition,
 )
 from repro.analysis.symbols import ASYNC, PARAM, SHARED, TASKQ
-
-_IDENT_PREFIX = re.compile(r"^\s*([A-Za-z]\w*)\s*(?:\((.*)\))?\s*$")
+from repro.fortran import ast_nodes as ast
+from repro.fortran.accesses import target_accesses
+from repro.fortran.parser import parse_expression
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,9 @@ class _Expander:
                    if s.name not in implicit]
         new_subst = self._implicit_param_map(callee, caller, mapping)
         for formal, actual in zip(formals, event.args):
-            resolved = fortranish.substitute(actual, mapping)
+            resolved = _substitute(actual, mapping)
             owner = self._owner_of(resolved, caller, subst)
-            new_subst[formal] = (resolved, owner)
+            new_subst[formal] = (_operand(resolved), owner)
         site = event.site
         return self._walk(
             root, event.callee,
@@ -227,18 +228,17 @@ class _Expander:
         for formal, actual in pairs:
             if formal and actual:
                 out[formal.upper()] = (
-                    fortranish.substitute(actual, mapping), caller)
+                    _substitute(actual, mapping), caller)
         return out
 
     def _owner_of(self, resolved: str, caller: str,
                   subst: dict[str, tuple[str, str]]) -> str:
-        match = _IDENT_PREFIX.match(resolved)
-        if not match:
+        ref = _reference(resolved)
+        if ref is None:
             return caller
-        base = match.group(1).upper()
         for _formal, (text, owner) in subst.items():
-            inner = _IDENT_PREFIX.match(text)
-            if inner and inner.group(1).upper() == base:
+            inner = _reference(text)
+            if inner and inner.name == ref.name:
                 return owner
         return caller
 
@@ -255,11 +255,10 @@ class _Expander:
         owner = name
         if var in mapping:
             resolved, owner = subst[var]
-            match = _IDENT_PREFIX.match(resolved)
-            if match is None:
+            ref = _reference(resolved)
+            if ref is None:
                 return          # actual was an expression: a by-value temp
-            var = match.group(1).upper()
-            actual_sub = match.group(2)
+            var, actual_sub = ref.name, ref.subscript
             if actual_sub is not None:
                 # formal bound to an array element: the callee's own
                 # subscript (if any) is relative to that element — keep
@@ -269,7 +268,7 @@ class _Expander:
         if symbol is None or symbol.storage != SHARED:
             return
         if subscript is not None:
-            subscript = fortranish.substitute(subscript, mapping)
+            subscript = _substitute(subscript, mapping)
         key = (f"/{symbol.common.upper()}/{var}" if symbol.common
                else var)
         self.summary.accesses.append(ResolvedAccess(
@@ -302,6 +301,47 @@ class _Expander:
         return None
 
 
+def _reference(actual: str):
+    """The variable (and element subscript) an actual argument names,
+    or ``None`` for a value expression."""
+    try:
+        expr = parse_expression(actual)
+    except FortranError:
+        return None
+    if expr.__class__ not in (ast.Var, ast.Apply):
+        return None
+    return target_accesses((expr,), actual)[0]
+
+
+def _operand(actual: str) -> str:
+    """``actual`` as it may stand for a formal inside an expression:
+    parenthesised unless it is a name, a constant or an array element,
+    so ``2*J`` with ``J`` bound to ``K+1`` reads ``2*(K+1)``."""
+    try:
+        expr = parse_expression(actual)
+    except FortranError:
+        return actual
+    if expr.__class__ in (ast.Var, ast.Apply, ast.Num):
+        return actual
+    return f"({actual})"
+
+
+def _substitute(text: str, mapping: dict) -> str:
+    """Whole-word replace each ``mapping`` key (case-insensitive).
+
+    Rewrites a Forcesub's formal parameters to the caller's actual
+    arguments inside subscripts, guard predicates and DOALL bounds,
+    which are kept as source text for display.
+    """
+    if not mapping or not text:
+        return text
+    folded = {key.upper(): value for key, value in mapping.items()}
+    pattern = "|".join(re.escape(key) for key in folded)
+    return re.sub(rf"\b(?:{pattern})\b",
+                  lambda m: folded[m.group(0).upper()], text,
+                  flags=re.IGNORECASE)
+
+
 # ----------------------------------------------------------------------
 # context composition helpers
 # ----------------------------------------------------------------------
@@ -322,7 +362,7 @@ def _substitute_guard(guard: str | None,
                       mapping: dict[str, str]) -> str | None:
     if guard is None:
         return None
-    return " ".join(fortranish.substitute(guard, mapping).upper().split())
+    return " ".join(_substitute(guard, mapping).upper().split())
 
 
 def _substitute_frames(frames: tuple[DoallFrame, ...],
@@ -332,7 +372,7 @@ def _substitute_frames(frames: tuple[DoallFrame, ...],
     return tuple(
         DoallFrame(uid=f.uid, macro=f.macro, label=f.label,
                    indices=f.indices,
-                   bounds=tuple(fortranish.substitute(b, mapping)
+                   bounds=tuple(_substitute(b, mapping)
                                 for b in f.bounds),
                    line=f.line)
         for f in frames)

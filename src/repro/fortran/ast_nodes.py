@@ -53,10 +53,15 @@ class Apply(Expr):
     """``NAME(args)`` — array element, intrinsic or function call.
 
     Fortran cannot distinguish these syntactically; the interpreter
-    resolves by symbol kind at evaluation time.
+    resolves by symbol kind at evaluation time.  ``span`` is the
+    ``(start, end)`` offset of the argument text between the
+    parentheses in the statement text the node was parsed from; it
+    takes no part in equality.
     """
     name: str
     args: tuple[Expr, ...]
+    span: tuple[int, int] | None = field(default=None, compare=False,
+                                         repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,34 +167,41 @@ class Assign(Stmt):
 
 
 class LogicalIf(Stmt):
-    """One-line ``IF (cond) statement``."""
-    __slots__ = ("cond", "body")
+    """One-line ``IF (cond) statement``.
 
-    def __init__(self, cond: Expr, body: Stmt):
+    ``span`` here and on the block-IF forms is the ``(start, end)``
+    offset of the condition text between the parentheses.
+    """
+    __slots__ = ("cond", "body", "span")
+
+    def __init__(self, cond: Expr, body: Stmt, span: tuple[int, int]):
         super().__init__()
         self.cond = cond
         self.body = body
+        self.span = span
 
 
 class IfThen(Stmt):
     """Block IF; ``false_target`` = index of matching ELSE IF/ELSE/END IF."""
-    __slots__ = ("cond", "false_target")
+    __slots__ = ("cond", "false_target", "span")
 
-    def __init__(self, cond: Expr):
+    def __init__(self, cond: Expr, span: tuple[int, int]):
         super().__init__()
         self.cond = cond
         self.false_target: int = -1
+        self.span = span
 
 
 class ElseIf(Stmt):
     """Reached by fallthrough = previous branch done -> jump to end."""
-    __slots__ = ("cond", "false_target", "end_target")
+    __slots__ = ("cond", "false_target", "end_target", "span")
 
-    def __init__(self, cond: Expr):
+    def __init__(self, cond: Expr, span: tuple[int, int]):
         super().__init__()
         self.cond = cond
         self.false_target: int = -1
         self.end_target: int = -1
+        self.span = span
 
 
 class Else(Stmt):

@@ -68,6 +68,7 @@ import numpy as np
 
 from repro._util.errors import FortranError
 from repro.fortran import ast_nodes as ast
+from repro.fortran.accesses import index_offset
 from repro.fortran.formats import apply_format, parse_format
 from repro.fortran.intrinsics import call_intrinsic, is_intrinsic
 from repro.fortran.interp import (
@@ -1720,7 +1721,9 @@ class _Emitter(_EmitterBase):
                     or self._ftype(name) not in (_REAL, _DOUBLE):
                 raise _KernelRefused(f"{name} not a REAL array")
             written.add(name)
-            offset = self._affine_offset(target.args[0], dovar)
+            offset = index_offset(target.args[0], dovar)
+            if offset is None:
+                raise _KernelRefused("non-affine subscript")
             targets.append((self._slot(name), offset))
 
         reads: dict[tuple[int, int], str] = {}
@@ -1764,26 +1767,6 @@ class _Emitter(_EmitterBase):
             return
         raise _KernelRefused("impure DO bound")
 
-    def _affine_offset(self, sub, dovar) -> int:
-        """Subscript must be ``I``, ``I ± c`` or ``c + I`` for literal
-        integer ``c``; returns the offset."""
-        cls = sub.__class__
-        if cls is ast.Var and sub.name == dovar:
-            return 0
-        if cls is ast.BinOp:
-            left, right, op = sub.left, sub.right, sub.op
-            if op in ("+", "-") and left.__class__ is ast.Var \
-                    and left.name == dovar \
-                    and right.__class__ is ast.Num \
-                    and right.value.__class__ is int:
-                return right.value if op == "+" else -right.value
-            if op == "+" and right.__class__ is ast.Var \
-                    and right.name == dovar \
-                    and left.__class__ is ast.Num \
-                    and left.value.__class__ is int:
-                return left.value
-        raise _KernelRefused("non-affine subscript")
-
     def _kexpr(self, expr, dovar, written, reads, scalars, state):
         """Vectorized RHS: returns ``(numpy source, float-certain)``.
 
@@ -1819,7 +1802,9 @@ class _Emitter(_EmitterBase):
                     or self._ftype(name) not in (_REAL, _DOUBLE) \
                     or len(expr.args) != 1:
                 raise _KernelRefused(f"{name} not a 1-D REAL array")
-            offset = self._affine_offset(expr.args[0], dovar)
+            offset = index_offset(expr.args[0], dovar)
+            if offset is None:
+                raise _KernelRefused("non-affine subscript")
             key = (self._slot(name), offset)
             temp = reads.get(key)
             if temp is None:

@@ -8,6 +8,12 @@ reused as well (:mod:`repro.fortran.codegen` caches per unit).  Below
 that, each distinct statement text is tokenized and parsed once into a
 template; every position gets a copy with its label and line stamped
 on it, sharing the template's expression trees.
+
+:func:`parse_statement`, :func:`parse_expression` and
+:func:`parse_expression_list` parse single texts for the static
+analyzer, statements through the same template table.  Array
+references and IF conditions record the offsets of their text, so a
+caller can quote the source as written.
 """
 
 from __future__ import annotations
@@ -161,7 +167,7 @@ class _Cursor:
 # ----------------------------------------------------------------------
 # expression parsing (precedence climbing)
 # ----------------------------------------------------------------------
-def parse_expression(cursor: _Cursor) -> Expr:
+def _parse_expression(cursor: _Cursor) -> Expr:
     return _parse_or(cursor)
 
 
@@ -257,7 +263,7 @@ def _parse_primary(cursor: _Cursor) -> Expr:
         return ast.LogConst(False)
     if token.is_op("("):
         cursor.next()
-        inner = parse_expression(cursor)
+        inner = _parse_expression(cursor)
         cursor.expect_op(")")
         return inner
     if token.is_op("-"):
@@ -265,14 +271,16 @@ def _parse_primary(cursor: _Cursor) -> Expr:
         return ast.UnaryOp("-", _parse_primary(cursor))
     if token.kind is TokenKind.NAME:
         cursor.next()
-        if cursor.accept_op("("):
+        if cursor.peek().is_op("("):
+            start = cursor.next().pos + 1
             args: list[Expr] = []
             if not cursor.peek().is_op(")"):
-                args.append(parse_expression(cursor))
+                args.append(_parse_expression(cursor))
                 while cursor.accept_op(","):
-                    args.append(parse_expression(cursor))
+                    args.append(_parse_expression(cursor))
+            end = cursor.peek().pos
             cursor.expect_op(")")
-            return ast.Apply(token.text, tuple(args))
+            return ast.Apply(token.text, tuple(args), (start, end))
         return ast.Var(token.text)
     raise FortranError(f"unexpected token {token.text!r} in expression",
                        line=cursor.line)
@@ -317,9 +325,9 @@ def _parse_entity_list(cursor: _Cursor):
         if cursor.accept_op("("):
             bounds = []
             while True:
-                first = parse_expression(cursor)
+                first = _parse_expression(cursor)
                 if cursor.accept_op(":"):
-                    second = parse_expression(cursor)
+                    second = _parse_expression(cursor)
                     bounds.append((first, second))
                 else:
                     bounds.append((None, first))
@@ -340,7 +348,7 @@ def _parse_statement(cursor: _Cursor, raw_text: str) -> ast.Stmt:
         if not isinstance(target, (ast.Var, ast.Apply)):
             raise FortranError("bad assignment target", line=cursor.line)
         cursor.expect_op("=")
-        expr = parse_expression(cursor)
+        expr = _parse_expression(cursor)
         cursor.expect_eos()
         return ast.Assign(target, expr)
 
@@ -370,26 +378,15 @@ def _parse_statement(cursor: _Cursor, raw_text: str) -> ast.Stmt:
         return ast.ExternalDecl(names)
     if keyword == "IF":
         return _parse_if(cursor, raw_text)
-    if keyword == "ELSEIF":
+    if keyword == "ELSEIF" or keyword == "ELSE":
         cursor.next()
-        cursor.expect_op("(")
-        cond = parse_expression(cursor)
-        cursor.expect_op(")")
+        if keyword == "ELSE" and not cursor.accept_name("IF"):
+            cursor.expect_eos()
+            return ast.Else()
+        cond, span = _condition(cursor)
         if not cursor.accept_name("THEN"):
             raise FortranError("ELSE IF must end with THEN", line=cursor.line)
-        return ast.ElseIf(cond)
-    if keyword == "ELSE":
-        cursor.next()
-        if cursor.accept_name("IF"):
-            cursor.expect_op("(")
-            cond = parse_expression(cursor)
-            cursor.expect_op(")")
-            if not cursor.accept_name("THEN"):
-                raise FortranError("ELSE IF must end with THEN",
-                                   line=cursor.line)
-            return ast.ElseIf(cond)
-        cursor.expect_eos()
-        return ast.Else()
+        return ast.ElseIf(cond, span)
     if keyword == "ENDIF":
         cursor.next()
         cursor.expect_eos()
@@ -428,9 +425,9 @@ def _parse_statement(cursor: _Cursor, raw_text: str) -> ast.Stmt:
         args: list[Expr] = []
         if cursor.accept_op("("):
             if not cursor.peek().is_op(")"):
-                args.append(parse_expression(cursor))
+                args.append(_parse_expression(cursor))
                 while cursor.accept_op(","):
-                    args.append(parse_expression(cursor))
+                    args.append(_parse_expression(cursor))
             cursor.expect_op(")")
         cursor.expect_eos()
         return ast.Call(name, args)
@@ -456,9 +453,9 @@ def _parse_statement(cursor: _Cursor, raw_text: str) -> ast.Stmt:
             raise FortranError("only PRINT * is supported", line=cursor.line)
         items: list[Expr] = []
         if cursor.accept_op(","):
-            items.append(parse_expression(cursor))
+            items.append(_parse_expression(cursor))
             while cursor.accept_op(","):
-                items.append(parse_expression(cursor))
+                items.append(_parse_expression(cursor))
         cursor.expect_eos()
         return ast.Write(items)
     if keyword == "FORMAT":
@@ -513,7 +510,7 @@ def _parse_parameter(cursor: _Cursor) -> ast.Stmt:
     while True:
         name = cursor.expect_name_token()
         cursor.expect_op("=")
-        assignments.append((name, parse_expression(cursor)))
+        assignments.append((name, _parse_expression(cursor)))
         if not cursor.accept_op(","):
             break
     cursor.expect_op(")")
@@ -570,21 +567,30 @@ def _parse_data(cursor: _Cursor) -> ast.Stmt:
     return ast.DataDecl(items)
 
 
+def _condition(cursor: _Cursor) -> tuple[Expr, tuple[int, int]]:
+    """``( expr )`` after IF: the expression and the offsets of the
+    text between the parentheses."""
+    start = cursor.peek().pos + 1
+    cursor.expect_op("(")
+    cond = _parse_expression(cursor)
+    end = cursor.peek().pos
+    cursor.expect_op(")")
+    return cond, (start, end)
+
+
 def _parse_if(cursor: _Cursor, raw_text: str) -> ast.Stmt:
     cursor.next()
-    cursor.expect_op("(")
-    cond = parse_expression(cursor)
-    cursor.expect_op(")")
+    cond, span = _condition(cursor)
     if cursor.accept_name("THEN"):
         cursor.expect_eos()
-        return ast.IfThen(cond)
+        return ast.IfThen(cond, span)
     # One-line logical IF: parse the contained simple statement.
     body = _parse_statement(cursor, raw_text)
     if isinstance(body, (ast.IfThen, ast.ElseIf, ast.Else, ast.EndIf,
                          ast.Do, ast.EndDo, ast.Declaration)):
         raise FortranError("invalid statement in logical IF",
                            line=cursor.line)
-    return ast.LogicalIf(cond, body)
+    return ast.LogicalIf(cond, body, span)
 
 
 def _parse_do(cursor: _Cursor) -> ast.Stmt:
@@ -594,12 +600,12 @@ def _parse_do(cursor: _Cursor) -> ast.Stmt:
         term_label = int(cursor.next().text)
     var = cursor.expect_name_token()
     cursor.expect_op("=")
-    first = parse_expression(cursor)
+    first = _parse_expression(cursor)
     cursor.expect_op(",")
-    last = parse_expression(cursor)
+    last = _parse_expression(cursor)
     step = None
     if cursor.accept_op(","):
-        step = parse_expression(cursor)
+        step = _parse_expression(cursor)
     cursor.expect_eos()
     return ast.Do(var, first, last, step, term_label)
 
@@ -611,7 +617,7 @@ def _parse_goto_tail(cursor: _Cursor) -> ast.Stmt:
             labels.append(int(cursor.next().text))
         cursor.expect_op(")")
         cursor.accept_op(",")
-        selector = parse_expression(cursor)
+        selector = _parse_expression(cursor)
         cursor.expect_eos()
         return ast.ComputedGoto(labels, selector)
     token = cursor.next()
@@ -642,9 +648,9 @@ def _parse_write(cursor: _Cursor) -> ast.Stmt:
     cursor.expect_op(")")
     items: list[Expr] = []
     if not cursor.at_eos():
-        items.append(parse_expression(cursor))
+        items.append(_parse_expression(cursor))
         while cursor.accept_op(","):
-            items.append(parse_expression(cursor))
+            items.append(_parse_expression(cursor))
     cursor.expect_eos()
     return ast.Write(items, fmt_label)
 
@@ -792,6 +798,46 @@ def _stamped(text: str, label: int | None, lineno: int) -> ast.Stmt:
     stmt.label = label
     stmt.line = lineno
     return stmt
+
+
+def parse_statement(text: str) -> tuple[ast.Stmt, str]:
+    """Parse one statement line the way :func:`parse_source` does.
+
+    A leading numeric label is split off and the rest stripped; the
+    statement is a copy of the same per-text template a parsed unit
+    holds.  Returns the statement and the text its spans index.
+    Raises :class:`FortranError` when the line is not a statement.
+    """
+    label = None
+    text = text.strip()
+    match = _LABELLED.match(text)
+    if match:
+        label, text = int(match.group(1)), match.group(2)
+    return _stamped(text, label, None), text
+
+
+def parse_expression(text: str) -> Expr:
+    """Parse one expression; its spans index ``text``."""
+    cursor = _Cursor(tokenize_statement(text), None)
+    expr = _parse_expression(cursor)
+    cursor.expect_eos()
+    return expr
+
+
+def parse_expression_list(text: str) -> list[tuple[Expr, str]]:
+    """Parse ``e1, e2, ...`` (DOALL bounds, argument lists): each
+    expression with its own stripped source text.  Spans index the
+    whole ``text``."""
+    cursor = _Cursor(tokenize_statement(text), None)
+    items = []
+    while True:
+        start = cursor.peek().pos
+        expr = _parse_expression(cursor)
+        items.append((expr, text[start:cursor.peek().pos].strip()))
+        if not cursor.accept_op(","):
+            break
+    cursor.expect_eos()
+    return items
 
 
 def _statement_weight(stmt: ast.Stmt) -> int:

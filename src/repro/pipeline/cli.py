@@ -585,6 +585,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace_file = None
     native = args.backend != "sim"
     dropped = result.trace_dropped if args.trace is not None else 0
+    # built once: the trace file, the metrics and the text timeline
+    # all read the same events (up to 100,000 of them)
+    events = result.trace_events() if args.trace is not None else None
     if dropped:
         remedy = ("(ring buffer overflow); re-run with a larger "
                   "--trace-buffer" if native else
@@ -599,7 +602,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "clock": "seconds" if native else "cycles"}
         if dropped:
             meta["dropped_events"] = dropped
-        events = result.trace_events()
         format_used = write_trace_file(
             args.trace, events, format=args.trace_format, meta=meta)
         trace_file = args.trace
@@ -607,7 +609,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{args.trace} ({format_used})", file=sys.stderr)
     metrics_file = None
     if args.metrics is not None:
-        metrics_file = _write_metrics(args, result, machine, native)
+        metrics_file = _write_metrics(args, result, machine, native, events)
     if args.format == "json":
         import json
         document = {
@@ -667,7 +669,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             from repro.sim.timeline import lock_contention_report
             from repro.trace.export import to_text
-            events = result.trace_events()
             print(to_text(events), file=sys.stderr)
             print("--- lock contention ---", file=sys.stderr)
             print(lock_contention_report(events), file=sys.stderr)
@@ -682,8 +683,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _write_metrics(args: argparse.Namespace, result, machine,
-                   native: bool) -> str:
-    """Export the run's metrics registry to ``args.metrics``."""
+                   native: bool, events) -> str:
+    """Export the run's metrics registry to ``args.metrics``; ``events``
+    is the run's trace, or ``None`` when it was not traced."""
     import json
 
     from repro.obsv.metrics import MetricsRegistry, registry_from_sim
@@ -694,9 +696,7 @@ def _write_metrics(args: argparse.Namespace, result, machine,
             registry.load_dict(result.metrics_doc)
     else:
         registry = registry_from_sim(
-            machine.key, args.nproc, result.stats_dict(),
-            events=result.trace_events()
-            if args.trace is not None else None)
+            machine.key, args.nproc, result.stats_dict(), events=events)
     path = args.metrics
     if path.endswith(".json"):
         text = json.dumps(registry.as_dict(), indent=2, sort_keys=True)

@@ -145,9 +145,12 @@ _MAX_FACTS = 512
 def program_facts(force_source: str) -> dict:
     """Race verdicts for ``force_source``, computed once per process.
 
-    A source the analysis cannot handle gets ``{}`` (prove nothing):
-    kernels are an optimisation, so a run that works without them must
-    not fail because of them.
+    A source the analysis rejects gets ``{}`` (prove nothing): kernels
+    are an optimisation, so a run that works without them must not fail
+    because of them.  Rejection is a :class:`ForceError` from the front
+    end or a ``RuntimeError`` such as the ``RecursionError`` of a too
+    deeply nested expression; any other exception is a bug in the
+    analysis and propagates.
     """
     key = hashlib.sha256(force_source.encode()).digest()
     doc = _FACTS.get(key)
@@ -155,7 +158,7 @@ def program_facts(force_source: str) -> dict:
         try:
             from repro.analysis.facts import source_facts
             doc = source_facts(force_source)
-        except Exception:
+        except (ForceError, RuntimeError):
             doc = {}
         if len(_FACTS) < _MAX_FACTS:
             _FACTS[key] = doc

@@ -1,6 +1,6 @@
 """Regression tests for the two seed F001 bugs this engine fixes.
 
-Satellite 1 — ``parse_assignment`` missed logical-IF one-liners
+Satellite 1 — the seed's assignment matcher missed logical-IF one-liners
 (``IF (P .EQ. ME) X = 1``): the embedded assignment was invisible, so
 neither the guarded (safe) nor the unguarded (racy) form produced the
 right verdict.
@@ -14,7 +14,8 @@ other symbol replicated-by-storage-class (Shared or parameter).
 
 from repro._util.text import strip_margin
 from repro.analysis import check_source
-from repro.analysis.fortranish import parse_assignment
+from repro.fortran.accesses import statement_accesses
+from repro.fortran.parser import parse_statement
 
 
 def _errors(source):
@@ -24,10 +25,10 @@ def _errors(source):
 
 class TestLogicalIfAssignments:
     def test_parse_assignment_unwraps_logical_if(self):
-        parsed = parse_assignment("IF (P .EQ. ME) X = 1")
-        assert parsed is not None
-        assert parsed.name == "X"
-        assert parsed.guard == "P .EQ. ME"
+        accesses, guards = statement_accesses(
+            *parse_statement("IF (P .EQ. ME) X = 1"))
+        assert [a.name for a in accesses if a.is_write] == ["X"]
+        assert [g.text for g in guards] == ["P .EQ. ME"]
 
     def test_me_guarded_write_is_clean(self):
         assert _errors("""

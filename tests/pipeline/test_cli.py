@@ -1,5 +1,7 @@
 """CLI tests (the `force` entry point)."""
 
+import re
+
 import pytest
 
 from repro.pipeline.cli import main
@@ -371,6 +373,11 @@ def loop_file(tmp_path):
     return str(path)
 
 
+def _mask_ids(text):
+    """Blank the object ids the simulator's join block key carries."""
+    return re.sub(r"\('join', \d+\)", "('join', ID)", text)
+
+
 class TestMetricsExport:
     def test_sim_prometheus_text(self, loop_file, tmp_path, capsys):
         out = tmp_path / "run.prom"
@@ -402,6 +409,32 @@ class TestMetricsExport:
         assert "force_barrier_episodes_total" in text
         assert "force_critical_acquisitions_total" in text
         assert 'name="LCK"' in text
+
+    def test_trace_and_metrics_build_the_events_once(self, loop_file,
+                                                     tmp_path, monkeypatch):
+        from repro.pipeline.run import RunResult
+        builds = []
+        original = RunResult.trace_events
+
+        def counting(result):
+            builds.append(result)
+            return original(result)
+
+        monkeypatch.setattr(RunResult, "trace_events", counting)
+        both = (tmp_path / "both.json", tmp_path / "both.prom")
+        assert main(["run", loop_file, "--trace", str(both[0]),
+                     "--metrics", str(both[1])]) == 0
+        assert len(builds) == 1
+        # the same files as a trace-only run and a run whose metrics
+        # come with the text timeline
+        alone = (tmp_path / "alone.json", tmp_path / "alone.prom")
+        assert main(["run", loop_file, "--trace", str(alone[0])]) == 0
+        assert main(["run", loop_file, "--trace", "-",
+                     "--metrics", str(alone[1])]) == 0
+        assert len(builds) == 3
+        masked = [_mask_ids(path.read_text()) for path in both + alone]
+        assert masked[:2] == masked[2:]
+        assert "force_sim_lock_acquisitions_total" in masked[1]
 
     def test_json_run_document_names_metrics_file(self, loop_file,
                                                   tmp_path, capsys):
