@@ -41,8 +41,12 @@ from repro.analysis.symbols import (
     split_decl_list,
 )
 from repro.fortran import ast_nodes as ast
-from repro.fortran.accesses import guard, logical_if_tail
-from repro.fortran.parser import parse_expression_list, parse_statement
+from repro.fortran.accesses import guard
+from repro.fortran.parser import (
+    join_continuations,
+    parse_expression_list,
+    parse_statement,
+)
 from repro.sedstage import translate_force_source
 
 _MACRO_CALL = re.compile(r"^\s*(\w+)\((.*)\)\s*$")
@@ -218,6 +222,8 @@ class _Parser:
         self.routine: Routine | None = None
         self.stack: list[Construct] = []
         self.next_uid = 1
+        #: Fortran lines since the last Force statement: (line, text)
+        self.run: list[tuple[int, str]] = []
 
     # -- helpers -------------------------------------------------------
     def _report(self, diagnostic: Diagnostic) -> None:
@@ -252,12 +258,12 @@ class _Parser:
             self._reject(lineno, exc)
             return []
 
-    def _statement(self, lineno: int, raw: str) -> None:
+    def _statement(self, lineno: int, text: str) -> None:
         try:
-            node, text = parse_statement(raw)
+            node, text = parse_statement(text)
         except FortranError as exc:
             self._reject(lineno, exc)
-            node, text = None, raw.strip()
+            node = None
         self._append(Stmt(lineno, text, node))
         if node.__class__ is ast.EndUnit:
             self._close_routine(lineno)
@@ -277,10 +283,10 @@ class _Parser:
     def feed(self, lineno: int, sed_line: str, raw: str) -> None:
         call = parse_macro_call(sed_line)
         if call is None or call[0] not in KNOWN_MACROS:
-            if (self.routine is not None and raw.strip()
-                    and raw[:1] not in ("C", "c", "*", "!")):
-                self._statement(lineno, raw)
+            if raw.strip() and raw[:1] not in ("C", "c", "*", "!"):
+                self.run.append((lineno, raw.strip()))
             return
+        self._flush()
         name, args = call
         if name in ("force_main", "force_sub"):
             self._start_routine(lineno, name, args)
@@ -304,7 +310,20 @@ class _Parser:
                 for i, arg in enumerate(args))))
 
     def finish(self, last_line: int) -> None:
+        self._flush()
         self._close_routine(last_line)
+
+    def _flush(self) -> None:
+        """Parse the Fortran lines since the last Force statement, with
+        continuations merged the way ``force run`` merges them."""
+        run, self.run = self.run, []
+        try:
+            for lineno, text in join_continuations(run):
+                if self.routine is not None:
+                    self._statement(lineno, text)
+        except FortranError as exc:
+            if self.routine is not None:
+                self._reject(exc.line, exc)
 
     # -- routines ------------------------------------------------------
     def _start_routine(self, lineno: int, name: str,
@@ -537,7 +556,9 @@ def walk_statements(routine: Routine) -> Iterator[tuple[Stmt, StmtContext]]:
 
     The ``IF (ME .EQ. …) THEN`` guard stack is shared across construct
     boundaries, matching document order, so a Barrier inside a guarded
-    region is handled the way the runtime sees it.
+    region is handled the way the runtime sees it.  A logical IF is
+    yielded whole (its ``body`` is the guarded statement), guarded
+    when its condition mentions the process identifier.
     """
     if_stack: list[bool] = []
     ident = routine.ident_var.upper()
@@ -571,12 +592,8 @@ def walk_statements(routine: Routine) -> Iterator[tuple[Stmt, StmtContext]]:
                         if_stack[-1] = (cls is ast.ElseIf and
                                         mentions_ident(stmt, node.text))
                     continue
-                guarded = any(if_stack)
-                if cls is ast.LogicalIf:
-                    # analyse the guarded tail statement.
-                    guarded = guarded or mentions_ident(stmt, node.text)
-                    tail = logical_if_tail(stmt, node.text)
-                    node = Stmt(node.line, tail, parse_statement(tail)[0])
+                guarded = any(if_stack) or (
+                    cls is ast.LogicalIf and mentions_ident(stmt, node.text))
                 yield (node, StmtContext(
                     critical, single, askfor, indices, guarded))
 

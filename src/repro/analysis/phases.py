@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util.errors import FortranError
 from repro.analysis.construct_parser import (
     Construct,
     Exprs,
@@ -55,7 +54,6 @@ from repro.fortran.accesses import (
     statement_accesses,
     target_accesses,
 )
-from repro.fortran.parser import parse_expression_list
 
 #: region kinds a statement can live in.
 REPLICATED = "replicated"
@@ -72,23 +70,26 @@ class DoallFrame:
     indices: tuple[str, ...]     #: upper-cased index variables
     bounds: tuple[str, ...]      #: raw bound text per index (``"1, N"``)
     line: int
+    #: parsed ``bounds`` per index, as :attr:`Construct.exprs` (empty
+    #: when the text does not parse)
+    exprs: tuple[Exprs, ...] = field(default=(), compare=False)
 
     def lower_bound(self, index: str) -> str | None:
         """Text of the loop's lower bound for ``index``, if recorded."""
-        return self._bound(index, 0)
+        piece = self.bound(index, 0)
+        return piece[1] if piece else None
 
     def upper_bound(self, index: str) -> str | None:
-        return self._bound(index, 1)
+        piece = self.bound(index, 1)
+        return piece[1] if piece else None
 
-    def _bound(self, index: str, position: int) -> str | None:
-        for var, bound in zip(self.indices, self.bounds):
-            if var == index and bound:
-                try:
-                    parts = parse_expression_list(bound)
-                except FortranError:
-                    return None     # unparsable text bounds nothing
-                if len(parts) > position:
-                    return parts[position][1]
+    def bound(self, index: str,
+              position: int) -> tuple[ast.Expr, str] | None:
+        """The parsed bound at ``position`` (0 lower, 1 upper, 2 step)
+        of ``index`` with its text, if recorded."""
+        for var, exprs in zip(self.indices, self.exprs):
+            if var == index and len(exprs) > position:
+                return exprs[position]
         return None
 
 
@@ -223,7 +224,8 @@ class _Partitioner:
                     frame = DoallFrame(
                         uid=node.uid, macro=node.macro, label=node.label,
                         indices=tuple(v.upper() for v in node.index_vars),
-                        bounds=node.bounds, line=node.line)
+                        bounds=node.bounds, line=node.line,
+                        exprs=node.exprs)
                     self._bound_reads(node, region, locks, frames)
                     self._visit(node.body, locks, region, frames + (frame,))
                 elif node.kind == "pcase":

@@ -61,7 +61,7 @@ from repro.analysis.summaries import (
 from repro.analysis.symbols import PARAM, SHARED
 from repro.fortran import ast_nodes as ast
 from repro.fortran.accesses import CONST, affine, affine_difference
-from repro.fortran.parser import parse_expression, parse_expression_list
+from repro.fortran.parser import parse_expression_list
 
 #: identifier classes inside a subscript dimension.
 _INDEX, _IDENT, _STABLE, _PRIVATE = "index", "ident", "stable", "private"
@@ -331,11 +331,11 @@ def _dim_outcome(da: ast.Expr, db: ast.Expr, a: ResolvedAccess,
         frame = next((f for f in side.frames if var in f.indices), None)
         if frame is None:
             continue
-        for bound, sign in ((frame.lower_bound(var), 1),
-                            (frame.upper_bound(var), -1)):
-            if not bound:
+        for position, sign in ((0, 1), (1, -1)):
+            piece = frame.bound(var, position)
+            if piece is None:
                 continue
-            parsed = affine(parse_expression(bound))
+            parsed = affine(piece[0])
             if parsed is None:
                 continue
             diff = affine_difference(parsed, target)

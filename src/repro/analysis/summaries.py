@@ -30,10 +30,10 @@ the facts emitter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro._util.errors import FortranError
-from repro.analysis.construct_parser import ForceProgram, Routine
+from repro.analysis.construct_parser import Exprs, ForceProgram, Routine
 from repro.analysis.phases import (
     REPLICATED,
     AccessEvent,
@@ -42,13 +42,12 @@ from repro.analysis.phases import (
     DoallFrame,
     LockEvent,
     RoutinePhases,
-    Site,
     partition,
 )
 from repro.analysis.symbols import ASYNC, PARAM, SHARED, TASKQ
 from repro.fortran import ast_nodes as ast
 from repro.fortran.accesses import target_accesses
-from repro.fortran.parser import parse_expression
+from repro.fortran.parser import parse_expression, parse_expression_list
 
 
 @dataclass(frozen=True)
@@ -369,17 +368,15 @@ def _substitute_frames(frames: tuple[DoallFrame, ...],
                        mapping: dict[str, str]) -> tuple[DoallFrame, ...]:
     if not mapping:
         return frames
-    return tuple(
-        DoallFrame(uid=f.uid, macro=f.macro, label=f.label,
-                   indices=f.indices,
-                   bounds=tuple(_substitute(b, mapping)
-                                for b in f.bounds),
-                   line=f.line)
-        for f in frames)
+    return tuple(_substitute_frame(f, mapping) for f in frames)
 
 
-def site_of(access: ResolvedAccess) -> Site:
-    """Rebuild a :class:`Site` view of a resolved access (for MHP)."""
-    return Site(line=access.line, phase=access.phase,
-                region=access.region, locks=access.locks,
-                guard=access.guard, frames=access.frames)
+def _substitute_frame(frame: DoallFrame, mapping: dict) -> DoallFrame:
+    bounds = tuple(_substitute(b, mapping) for b in frame.bounds)
+    exprs: list[Exprs] = []
+    for text in bounds:
+        try:    # rewritten text that no longer parses bounds nothing
+            exprs.append(parse_expression_list(text) if text.strip() else [])
+        except FortranError:
+            exprs.append([])
+    return replace(frame, bounds=bounds, exprs=tuple(exprs))

@@ -42,12 +42,8 @@ class Guard:
 def guard(stmt: ast.LogicalIf | ast.IfThen | ast.ElseIf,
           text: str) -> Guard:
     start, end = stmt.span
-    return Guard(text[start:end], frozenset(_names(stmt.cond)))
-
-
-def logical_if_tail(stmt: ast.LogicalIf, text: str) -> str:
-    """Source text of the statement a logical IF guards."""
-    return text[stmt.span[1] + 1:].strip()
+    return Guard(text[start:end], frozenset(
+        access.name for access in expression_reads(stmt.cond, text)))
 
 
 def expression_reads(expr: ast.Expr, text: str) -> list[Access]:
@@ -134,21 +130,6 @@ def _reads(expr: ast.Expr, text: str, out: list[Access]) -> None:
 def _subscript(ref: ast.Apply, text: str) -> str:
     start, end = ref.span
     return text[start:end]
-
-
-def _names(expr: ast.Expr):
-    cls = expr.__class__
-    if cls is ast.Var:
-        yield expr.name
-    elif cls is ast.Apply:
-        yield expr.name
-        for arg in expr.args:
-            yield from _names(arg)
-    elif cls is ast.BinOp:
-        yield from _names(expr.left)
-        yield from _names(expr.right)
-    elif cls is ast.UnaryOp:
-        yield from _names(expr.operand)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import copy
 import hashlib
 import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro._util.errors import FortranError
 from repro.fortran import ast_nodes as ast
@@ -73,42 +74,50 @@ def _assemble_lines(source: str) -> list[tuple[int | None, str, int]]:
 
     Returns (label, statement-text, first-line-number) triples.
     Comments (``C``/``*``/``!`` in column one) and blank lines vanish.
-    A trailing ``&`` continues onto the next line.
     """
     logical: list[tuple[int | None, str, int]] = []
-    pending: str | None = None
-    pending_line = 0
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        if raw[:1] in ("C", "c", "*", "!"):
-            continue
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        # Classic continuation: a line starting with '&' extends the
-        # previous logical line (the macro layer emits this style).
-        if stripped.startswith("&") and pending is None and logical:
-            label, text, first = logical.pop()
-            logical.append((label, text + " " + stripped[1:].strip(), first))
-            continue
-        if pending is not None:
-            merged = pending + " " + stripped
-        else:
-            merged = stripped
-            pending_line = lineno
-        if merged.endswith("&"):
-            pending = merged[:-1].rstrip()
-            continue
-        pending = None
-        label: int | None = None
-        match = _LABELLED.match(merged)
-        if match:
-            label = int(match.group(1))
-            merged = match.group(2)
-        logical.append((label, merged, pending_line))
-    if pending is not None:
-        raise FortranError("source ends inside a continued statement",
-                           line=pending_line)
+    lines = [(lineno, stripped)
+             for lineno, raw in enumerate(source.split("\n"), start=1)
+             if raw[:1] not in ("C", "c", "*", "!")
+             and (stripped := raw.strip())]
+    for first, text in join_continuations(lines):
+        match = _LABELLED.match(text)
+        label = int(match.group(1)) if match else None
+        logical.append((label, match.group(2) if match else text, first))
     return logical
+
+
+def join_continuations(lines: Iterable[tuple[int, str]]
+                       ) -> Iterator[tuple[int, str]]:
+    """Merge continuation lines into statements.
+
+    Takes (line number, stripped text) pairs and yields (first line
+    number, statement text).  A trailing ``&`` continues onto the next
+    line; a line starting with ``&`` extends the statement before it
+    (the macro layer emits this style).
+    """
+    first = 0
+    held: str | None = None     # a statement a leading '&' may extend
+    pending: str | None = None  # a statement a trailing '&' continues
+    for lineno, text in lines:
+        if pending is None:
+            if text[0] == "&" and held is not None:
+                held += " " + text[1:].strip()
+                continue
+            if held is not None:
+                yield first, held
+            first = lineno
+        else:
+            text = pending + " " + text
+        if text[-1] == "&":
+            pending, held = text[:-1].rstrip(), None
+        else:
+            pending, held = None, text
+    if held is not None:
+        yield first, held
+    if pending is not None:
+        raise FortranError("a statement continued with '&' has no next line",
+                           line=first)
 
 
 # ----------------------------------------------------------------------

@@ -586,8 +586,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     native = args.backend != "sim"
     dropped = result.trace_dropped if args.trace is not None else 0
     # built once: the trace file, the metrics and the text timeline
-    # all read the same events (up to 100,000 of them)
-    events = result.trace_events() if args.trace is not None else None
+    # all read the same events (up to 100,000 of them); a native
+    # `--trace -` writes no file and renders no timeline
+    read = args.trace is not None and not (native and args.trace == "-")
+    events = result.trace_events() if read else None
     if dropped:
         remedy = ("(ring buffer overflow); re-run with a larger "
                   "--trace-buffer" if native else

@@ -148,7 +148,7 @@ class TestContextWalk:
         (routine,) = program.routines
         stmts = [(s.text.strip(), c.guarded)
                  for s, c in walk_statements(routine)]
-        assert ("S = 1", True) in stmts
+        assert ("IF (ME .EQ. 1) S = 1", True) in stmts
 
     def test_macro_leaves_are_kept(self):
         program = parse("""

@@ -16,6 +16,7 @@ from repro.analysis import check_source
 from repro.analysis.construct_parser import (
     MacroStmt,
     Routine,
+    iter_constructs,
     parse_program,
 )
 from repro.analysis.facts import source_facts
@@ -329,6 +330,73 @@ class TestRejectedStatements:
                   END
         """))
         assert (diag.code, diag.line) == ("F002", 4)
+
+
+CONTINUED = """
+    Force CONT of NP ident ME
+    Shared REAL A(12), X(12)
+    Private INTEGER I
+    End declarations
+    Presched DO 10 I = 1, 11
+          A(I) = I
+          X(I) = A(I) + &
+                 A({sub})
+          X(I) = X(I) *
+         &       2
+    10 End presched DO
+    Join
+          END
+"""
+
+ONE_LINE = """
+    Force CONT of NP ident ME
+    Shared REAL A(12), X(12)
+    Private INTEGER I
+    End declarations
+    Presched DO 10 I = 1, 11
+          A(I) = I
+          X(I) = A(I) + A({sub})
+          X(I) = X(I) * 2
+    10 End presched DO
+    Join
+          END
+"""
+
+
+class TestContinuations:
+    """A trailing-& or leading-& continuation is read as one statement
+    at its first line, as ``force run`` reads it."""
+
+    @pytest.mark.parametrize("sub, race_free", [("I", True), ("I+1", False)])
+    def test_same_verdict_as_on_one_line(self, sub, race_free):
+        continued = strip_margin(CONTINUED.format(sub=sub))
+        one_line = strip_margin(ONE_LINE.format(sub=sub))
+        assert check_source(continued) == check_source(one_line)
+        assert len(check_source(continued)) == (0 if race_free else 1)
+        for source in (continued, one_line):
+            (entry,) = source_facts(source)["files"]
+            assert [d["race_free"] for d in entry["doalls"]] == [race_free]
+
+    def test_merged_statement_text(self):
+        source = strip_margin(CONTINUED.format(sub="I"))
+        (routine,) = parse_program(source).routines
+        (doall,) = iter_constructs(routine)
+        texts = [(s.line, s.text) for s in doall.body]
+        assert texts == [(6, "A(I) = I"), (7, "X(I) = A(I) + A(I)"),
+                         (9, "X(I) = X(I) * 2")]
+
+    def test_unfinished_continuation_is_rejected(self):
+        (diag,) = check_source(strip_margin("""
+            Force CONT of NP ident ME
+            Shared REAL X
+            End declarations
+            Barrier
+                  X = 1 + &
+            End barrier
+            Join
+                  END
+        """))
+        assert (diag.code, diag.line) == ("F002", 5)
 
 
 class TestProgramFacts:

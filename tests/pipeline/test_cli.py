@@ -412,15 +412,19 @@ class TestMetricsExport:
 
     def test_trace_and_metrics_build_the_events_once(self, loop_file,
                                                      tmp_path, monkeypatch):
+        from repro.pipeline.native import NativeRunResult
         from repro.pipeline.run import RunResult
         builds = []
-        original = RunResult.trace_events
 
-        def counting(result):
-            builds.append(result)
-            return original(result)
+        def counting(original):
+            def build(result):
+                builds.append(result)
+                return original(result)
+            return build
 
-        monkeypatch.setattr(RunResult, "trace_events", counting)
+        for cls in (RunResult, NativeRunResult):
+            monkeypatch.setattr(cls, "trace_events",
+                                counting(cls.trace_events))
         both = (tmp_path / "both.json", tmp_path / "both.prom")
         assert main(["run", loop_file, "--trace", str(both[0]),
                      "--metrics", str(both[1])]) == 0
@@ -435,6 +439,10 @@ class TestMetricsExport:
         masked = [_mask_ids(path.read_text()) for path in both + alone]
         assert masked[:2] == masked[2:]
         assert "force_sim_lock_acquisitions_total" in masked[1]
+        # a native `--trace -` has no reader for the events
+        assert main(["run", loop_file, "--backend", "thread",
+                     "--trace", "-"]) == 0
+        assert len(builds) == 3
 
     def test_json_run_document_names_metrics_file(self, loop_file,
                                                   tmp_path, capsys):
