@@ -180,9 +180,24 @@ def affine_difference(a: dict[str, int], b: dict[str, int]) -> int | None:
     return a.get(CONST, 0) - b.get(CONST, 0)
 
 
-def index_offset(expr: ast.Expr, var: str) -> int | None:
-    """``c`` when ``expr`` has the affine form ``var + c``, else ``None``."""
+def unit_term(expr: ast.Expr) -> tuple[str | None, int] | None:
+    """``(name, c)`` when ``expr`` has the affine form ``name + c``,
+    ``(None, c)`` when it is the integer constant ``c``, else ``None``.
+
+    These are the subscript forms a DOALL kernel slices by: ``name``
+    is one of the nest's DO variables (the subscript walks that loop)
+    or a scalar the nest never writes (the subscript is loop-invariant);
+    the caller's symbol table tells which.
+    """
     form = affine(expr)
-    if form is None or form.keys() - {CONST} != {var} or form[var] != 1:
+    if form is None:
         return None
-    return form.get(CONST, 0)
+    names = form.keys() - {CONST}
+    if not names:
+        return None, form.get(CONST, 0)
+    if len(names) != 1:
+        return None
+    (name,) = names
+    if form[name] != 1:
+        return None
+    return name, form.get(CONST, 0)

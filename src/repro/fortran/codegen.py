@@ -30,15 +30,17 @@ with :func:`compile`.  Four things make it fast:
 
 * **Facts-gated DOALL vectorization.**  A DO loop whose terminal label
   the analysis facts proved race-free (``kernel_eligible``) and whose
-  body is a run of affine 1-D REAL array assignments is lowered to
-  numpy slice kernels guarded by a runtime check (float storage,
-  in-bounds, non-aliasing, integer bounds, empty do-stack).  After the
-  numpy compute the kernel replays the generic loop's cost events —
-  the first iteration's flush, then one repeated
-  :class:`~repro.fortran.interp.Cost` for the rest — so the scheduler
-  interleaves processes exactly as it would for the generic loop; if
-  the guard fails the loop runs on the generic path emitted right
-  below it.
+  body is a run of 1-D REAL array assignments, or a run of 2-D ones
+  followed by one inner DO of them, is lowered to numpy slab kernels,
+  one whole-slab operation per statement in source order, guarded by
+  a runtime check (:func:`_kg`: float storage, in-bounds, same-array
+  accesses identical or disjoint, no cross-array aliasing, integer
+  bounds, no stale do-stack entry).  After the numpy compute the
+  kernel replays the generic loop's cost events (repeated ones as one
+  :class:`~repro.fortran.interp.Cost` with ``repeat``), so the
+  scheduler interleaves processes exactly as it would for the generic
+  loop; if the guard fails the loop runs on the generic path emitted
+  right below it.
 
 Artifacts are cached per ``(unit, facts_digest, cost_scale)`` — the
 facts digest in the key is what invalidates ``kernel_eligible``
@@ -68,7 +70,7 @@ import numpy as np
 
 from repro._util.errors import FortranError
 from repro.fortran import ast_nodes as ast
-from repro.fortran.accesses import index_offset
+from repro.fortran.accesses import unit_term
 from repro.fortran.formats import apply_format, parse_format
 from repro.fortran.intrinsics import call_intrinsic, is_intrinsic
 from repro.fortran.interp import (
@@ -454,59 +456,102 @@ def _num2(v):
     return v.__class__ is int or v.__class__ is float
 
 
-def _ss(data, start, step, n):
-    """Strided 1-D slice of ``n`` elements starting at 0-based
-    ``start`` (negative steps handled)."""
-    stop = start + n * step
-    if step < 0 and stop < 0:
-        stop = None
-    return data[start:stop:step]
+def _kg(frame, spec, ranges):
+    """Runtime kernel guard: the numpy slab of every access, or None.
 
+    ``spec`` is ``(loops, accesses)``: the statement indices of the
+    nest's DO loops, outer first, and one ``(slot, dims, written)``
+    per distinct array access, ``dims`` holding one ``(axis, c)`` per
+    subscript.  The subscript is ``ranges[axis][0] + c``, stepping by
+    ``ranges[axis][1]`` over ``ranges[axis][2]`` trips: axes below
+    the nest depth are its DO loops, the rest loop-invariant INTEGER
+    scalars (one trip, no step); axis None is the constant ``c``.
 
-def _kg(frame, idx, spec, kf, ks, tr):
-    """Runtime kernel guard: every access must hit a float 1-D fast
-    view, stay in bounds for the whole trip range, and no written
-    array may share storage with any other accessed array.  A stale
-    do-stack entry for *this* loop (re-entry after a GOTO jumped out
-    of it) also bails out — the generic path filters such entries,
-    the kernel path cannot."""
+    Every access must reach a float fast view of the nest's rank and
+    stay in bounds over its whole box of subscripts.  Each write,
+    paired with another access of the same array, needs the identical
+    subscript (a same-iteration access, which running the statements
+    one after another keeps in order) or a box disjoint from it; a
+    write may share no storage with any other array.  An access that
+    a zero-trip loop never makes has no box and no slab.  A stale
+    do-stack entry for a loop of the nest (re-entry after a GOTO
+    jumped out of it) also bails out: the generic path filters such
+    entries, the kernel path cannot.
+
+    A slab has the nest's shape: ``(trips,)`` for one loop,
+    ``(outer trips, inner trips)`` for two, with size-1 axes where a
+    subscript leaves a loop out; a loop-invariant element is a 0-d
+    view."""
+    loops, accesses = spec
     for entry in frame.do_stack:
-        if entry[0] == idx:
-            return False
-    fast = frame.fast
-    writes, reads = spec
-    last = kf + (tr - 1) * ks
-    for slot, off in writes:
+        if entry[0] in loops:
+            return None
+    depth = len(loops)
+    fast = frame.fast if depth == 1 else frame.fast2
+    boxes = []
+    slabs = []
+    for slot, dims, _written in accesses:
         f = fast[slot]
-        if f is None or f[3]:
-            return False
-        lo = kf + off - f[1]
-        hi = last + off - f[1]
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo < 0 or hi >= f[2]:
-            return False
-    for slot, off in reads:
-        f = fast[slot]
-        if f is None or f[3]:
-            return False
-        lo = kf + off - f[1]
-        hi = last + off - f[1]
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo < 0 or hi >= f[2]:
-            return False
-    for wslot, _off in writes:
-        wdata = fast[wslot][0]
-        for slot, _o in writes:
-            if slot != wslot and np.may_share_memory(wdata,
-                                                     fast[slot][0]):
-                return False
-        for slot, _o in reads:
-            if slot != wslot and np.may_share_memory(wdata,
-                                                     fast[slot][0]):
-                return False
-    return True
+        if f is None or f[-1]:
+            return None
+        box = []
+        index = []
+        walks = []
+        d = 1                   # f[d], f[d + 1]: this dimension's
+        for axis, c in dims:    # lower bound and extent
+            lower = f[d]
+            if axis is None:
+                lo = hi = c
+            else:
+                first, step, trips = ranges[axis]
+                if first.__class__ is not int:
+                    return None
+                if not trips:
+                    box = None
+                    break
+                lo = first + c
+                hi = lo + (trips - 1) * step
+                if axis < depth:
+                    start = lo - lower
+                    stop = start + trips * step
+                    index.append(slice(start, None if stop < 0 else stop,
+                                       step))
+                    walks.append(axis)
+                if lo > hi:
+                    lo, hi = hi, lo
+            if lo < lower or hi >= lower + f[d + 1]:
+                return None
+            box.append((lo, hi))
+            if len(index) < len(box):
+                index.append(lo - lower)
+            d += 2
+        boxes.append(box)
+        if box is None:
+            slabs.append(None)
+            continue
+        slab = f[0][(*index, ...)]
+        if walks == [1, 0]:
+            slab = slab.T
+        elif walks == [0] and depth == 2:
+            slab = slab[:, None]
+        slabs.append(slab)
+    for a, (slot, _dims, written) in enumerate(accesses):
+        if not written or boxes[a] is None:
+            continue
+        data = fast[slot][0]
+        for b, (other, _odims, _w) in enumerate(accesses):
+            if b == a or boxes[b] is None:
+                continue
+            if other != slot:
+                if np.may_share_memory(data, fast[other][0]):
+                    return None
+                continue
+            for (lo, hi), (olo, ohi) in zip(boxes[a], boxes[b]):
+                if hi < olo or ohi < lo:
+                    break       # disjoint in this dimension
+            else:
+                return None
+    return slabs
 
 
 #: Names injected into every generated module's namespace.
@@ -552,7 +597,6 @@ _BASE_NAMESPACE = {
     "_dofin": _dofin,
     "_mkdyn": _mkdyn,
     "_num2": _num2,
-    "_ss": _ss,
     "_kg": _kg,
 }
 
@@ -832,8 +876,9 @@ class CodegenUnit:
         ``argrefs`` per name, plus numpy fast views of numeric arrays,
         kept apart by rank so that a view only ever reaches the helpers
         of its own rank: ``fast`` for 1-D arrays (read by
-        :func:`_ld1`/:func:`_st1` and the kernel guard) and ``fast2``
-        for 2-D ones (read by :func:`_ld2`/:func:`_st2`).  A name with
+        :func:`_ld1`/:func:`_st1`) and ``fast2`` for 2-D ones (read by
+        :func:`_ld2`/:func:`_st2`); the kernel guard :func:`_kg` reads
+        the list of its nest's rank.  A name with
         no view of a rank has None there, so its accesses of that rank
         take the generic path and its errors."""
         from repro.fortran.interp import Cell
@@ -1030,7 +1075,7 @@ class _EmitterBase:
             "def _gen(frame, rt):",
             "    _sl = frame.slots",
             "    _fv = frame.fast",
-            "    _f2 = frame.fast2",
+            "    _fw = frame.fast2",
             "    _ag = frame.argrefs",
             "    _p = 0",
             "    _n = 0",
@@ -1287,7 +1332,7 @@ class _EmitterBase:
                            stmt.line)
                     return False
                 if len(subs) == 2:
-                    self.w(f"_st2(_sl[{s}], _f2[{s}], {value}, "
+                    self.w(f"_st2(_sl[{s}], _fw[{s}], {value}, "
                            f"{subs[0]}, {subs[1]})", stmt.line)
                     return False
                 tv = self.temp()
@@ -1434,7 +1479,7 @@ class _EmitterBase:
         self._maybe_flush_exprs(exprs)
         if self.is_terminal[i]:
             raise CodegenUnsupported("DO statement is its own terminal")
-        self._maybe_kernel(stmt, i)
+        self._maybe_kernel(stmt)
         first = self._expr(stmt.first)
         last = self._expr(stmt.last)
         step = self._expr(stmt.step) if stmt.step is not None else "1"
@@ -1585,7 +1630,7 @@ class _EmitterBase:
             if len(subs) == 1:
                 return f"_ld1(_sl[{s}], _fv[{s}], {subs[0]})"
             if len(subs) == 2:
-                return f"_ld2(_sl[{s}], _f2[{s}], {subs[0]}, {subs[1]})"
+                return f"_ld2(_sl[{s}], _fw[{s}], {subs[0]}, {subs[1]})"
             tup = ", ".join(f"int({sub})" for sub in subs)
             return f"_sl[{s}].get(({tup},))"
         if kind is _MAYBE:
@@ -1664,11 +1709,39 @@ class _KernelRefused(Exception):
     the loop simply runs on the generic path)."""
 
 
+class _Nest:
+    """What the kernel recognizer learned about one DOALL nest: its DO
+    loops (outer first) and, per loop level, the statements as numpy
+    slab assignments.  A level-1 statement runs once per outer
+    iteration, a level-2 one once per (outer, inner) pair."""
+
+    def __init__(self, loops, bodies) -> None:
+        self.loops = loops
+        #: per level, its assignment statements in source order
+        self.bodies = bodies
+        self.vars = [do.var for do in loops]
+        self.depth = len(loops)
+        #: (slot, dims) -> [slab temp, written]; see :func:`_kg`
+        self.slabs: dict[tuple, list] = {}
+        #: loop-invariant subscript scalar slot -> its axis in ranges
+        self.invariants: dict[int, int] = {}
+        #: value scalar slot -> temp
+        self.scalars: dict[int, str] = {}
+        #: slab temp of a loop-invariant element -> its float temp
+        self.elements: dict[str, str] = {}
+        #: temps that must hold a nonzero float (divisors)
+        self.divisors: list[str] = []
+        #: loop axis -> temp holding that DO variable's values
+        self.values: dict[int, str] = {}
+        #: per level, (target slab temp, numpy rhs) in source order
+        self.runs: tuple[list, list] = ([], [])
+
+
 class _Emitter(_EmitterBase):
     # ------------------------------------------------------------------
     # facts-gated DOALL vectorization
     # ------------------------------------------------------------------
-    def _maybe_kernel(self, stmt, i) -> None:
+    def _maybe_kernel(self, stmt) -> None:
         """Emit a guarded numpy kernel for an eligible DOALL ahead of
         the generic loop lowering; guard failure falls through to the
         generic path right below."""
@@ -1676,77 +1749,76 @@ class _Emitter(_EmitterBase):
                 or stmt.term_label not in self.eligible_labels:
             return
         try:
-            plan = self._kernel_plan(stmt)
+            nest = self._kernel_plan(stmt)
         except _KernelRefused as exc:
             self.kernel_refused[stmt.term_label] = str(exc)
             return
         self.kernel_labels.append(stmt.term_label)
-        self._emit_kernel(stmt, i, plan)
+        self._emit_kernel(stmt, nest)
 
-    def _kernel_plan(self, stmt):
-        unit = self.unit
-        statements = unit.statements
-        terminal = statements[stmt.terminal] \
-            if 0 <= stmt.terminal < len(statements) else None
+    def _kernel_plan(self, stmt) -> _Nest:
+        """Recognize a DOALL whose body is a run of assignments,
+        optionally followed by one inner DO of assignments that ends
+        right before the DOALL's terminal.  A one-loop body assigns
+        1-D array elements, a nest 2-D ones."""
+        statements = self.unit.statements
+        self._kernel_terminal(stmt)
+        body = statements[stmt.index + 1:stmt.terminal]
+        lead = []
+        for s in body:
+            if s.__class__ is not ast.Assign:
+                break
+            lead.append(s)
+        loops = [stmt]
+        inner_body = []
+        rest = body[len(lead):]
+        if rest:
+            inner = rest[0]
+            if inner.__class__ is not ast.Do \
+                    or inner.terminal != stmt.terminal - 1:
+                raise _KernelRefused("body not a run of assignments")
+            inner_body = rest[1:-1]
+            if not inner_body or not all(s.__class__ is ast.Assign
+                                         for s in inner_body):
+                raise _KernelRefused(
+                    "inner DO body not a run of assignments")
+            self._kernel_terminal(inner)
+            loops.append(inner)
+        elif not lead:
+            raise _KernelRefused("body not a run of assignments")
+        for do in loops:
+            if self._kind(do.var) is not _CELL \
+                    or self._ftype(do.var) is not _INT:
+                raise _KernelRefused("DO variable not a local INTEGER")
+        nest = _Nest(loops, (lead, inner_body))
+        if len(set(nest.vars)) != nest.depth:
+            raise _KernelRefused("inner DO reuses the DO variable")
+        for bound in (stmt.first, stmt.last, stmt.step):
+            if bound is not None:
+                self._check_pure(bound)
+        if nest.depth == 2:
+            for bound in (inner.first, inner.last, inner.step):
+                if bound is not None:
+                    self._check_invariant(bound, nest)
+        for level, body in enumerate(nest.bodies, 1):
+            for assign in body:
+                target = self._kslab(assign.target, level, nest, True)[0]
+                rhs = self._kexpr(assign.expr, level, nest)[0]
+                nest.runs[level - 1].append((target, rhs))
+        return nest
+
+    def _kernel_terminal(self, do) -> None:
+        statements = self.unit.statements
+        terminal = statements[do.terminal] \
+            if 0 <= do.terminal < len(statements) else None
         if not isinstance(terminal, (ast.Continue, ast.EndDo)):
             raise _KernelRefused("terminal not CONTINUE/END DO")
         # the kernel jumps past the terminal, skipping the advance of
         # any enclosing loop that ends on the same statement
-        if any(other.__class__ is ast.Do and other is not stmt
-               and other.terminal == stmt.terminal
+        if any(other.__class__ is ast.Do and other is not do
+               and other.terminal == do.terminal
                for other in statements):
             raise _KernelRefused("terminal shared with another DO")
-        dovar = stmt.var
-        if self._kind(dovar) is not _CELL \
-                or self._ftype(dovar) is not _INT:
-            raise _KernelRefused("DO variable not a local INTEGER")
-        for bound in (stmt.first, stmt.last, stmt.step):
-            if bound is not None:
-                self._check_pure(bound)
-        body = statements[stmt.index + 1:stmt.terminal]
-        if not body or not all(s.__class__ is ast.Assign for s in body):
-            raise _KernelRefused("body not a run of assignments")
-
-        written: set[str] = set()
-        targets = []
-        for assign in body:
-            target = assign.target
-            if target.__class__ is not ast.Apply \
-                    or len(target.args) != 1:
-                raise _KernelRefused("target not a 1-D element")
-            name = target.name
-            if name in written:
-                raise _KernelRefused(f"{name} written twice")
-            if self._kind(name) is not _ARRAY \
-                    or self._ftype(name) not in (_REAL, _DOUBLE):
-                raise _KernelRefused(f"{name} not a REAL array")
-            written.add(name)
-            offset = index_offset(target.args[0], dovar)
-            if offset is None:
-                raise _KernelRefused("non-affine subscript")
-            targets.append((self._slot(name), offset))
-
-        reads: dict[tuple[int, int], str] = {}
-        scalars: dict[int, str] = {}
-        state = {"iv": False, "ivname": self.temp("_kiv")}
-        rhs = [self._kexpr(a.expr, dovar, written, reads, scalars,
-                           state)[0]
-               for a in body]
-
-        scale = self.scale
-        w_it = sum(s.weight for s in body) * scale \
-            + terminal.weight * scale
-        n_it = len(body) + 1
-        return {
-            "targets": targets,
-            "rhs": rhs,
-            "reads": reads,
-            "scalars": scalars,
-            "need_iv": state["iv"],
-            "ivname": state["ivname"],
-            "w_it": w_it,
-            "n_it": n_it,
-        }
 
     def _check_pure(self, expr) -> None:
         """Bounds must be side-effect free: the kernel path evaluates
@@ -1767,76 +1839,144 @@ class _Emitter(_EmitterBase):
             return
         raise _KernelRefused("impure DO bound")
 
-    def _kexpr(self, expr, dovar, written, reads, scalars, state):
+    def _check_invariant(self, expr, nest) -> None:
+        """Inner DO bounds are evaluated once for the whole nest, ahead
+        of the statements the generic path runs before them, so they
+        must be INTEGER arithmetic on scalars the nest never writes:
+        then the slab is a rectangle and evaluating early can neither
+        fail nor differ."""
+        cls = expr.__class__
+        if cls is ast.Num and expr.value.__class__ is int:
+            return
+        if cls is ast.Var and expr.name not in nest.vars \
+                and self._kind(expr.name) is _CELL \
+                and self._ftype(expr.name) is _INT:
+            return
+        if cls is ast.BinOp and expr.op in ("+", "-", "*"):
+            self._check_invariant(expr.left, nest)
+            self._check_invariant(expr.right, nest)
+            return
+        if cls is ast.UnaryOp and expr.op == "-":
+            self._check_invariant(expr.operand, nest)
+            return
+        raise _KernelRefused("inner DO bounds not loop-invariant")
+
+    def _kslab(self, ref, level, nest, write):
+        """Register an array access; returns ``(slab temp, element)``,
+        ``element`` when no subscript walks a loop."""
+        depth = nest.depth
+        if write:
+            if ref.__class__ is not ast.Apply or len(ref.args) != depth:
+                raise _KernelRefused(f"target not a {depth}-D element")
+            if self._kind(ref.name) is not _ARRAY \
+                    or self._ftype(ref.name) not in (_REAL, _DOUBLE):
+                raise _KernelRefused(f"{ref.name} not a REAL array")
+        elif self._kind(ref.name) is not _ARRAY \
+                or self._ftype(ref.name) not in (_REAL, _DOUBLE) \
+                or len(ref.args) != depth:
+            raise _KernelRefused(f"{ref.name} not a {depth}-D REAL array")
+        dims = tuple(self._kdim(arg, level, nest) for arg in ref.args)
+        walks = [axis for axis, _c in dims
+                 if axis is not None and axis < depth]
+        if len(set(walks)) != len(walks):
+            raise _KernelRefused("DO variable in two subscripts")
+        if write and set(walks) != set(range(level)):
+            raise _KernelRefused(
+                f"target {ref.name} not indexed by every DO variable")
+        entry = nest.slabs.setdefault((self._slot(ref.name), dims),
+                                      [self.temp("_v"), write])
+        entry[1] = entry[1] or write
+        return entry[0], not walks
+
+    def _kdim(self, arg, level, nest):
+        """``(axis, c)`` form of one subscript (see :func:`_kg`)."""
+        term = unit_term(arg)
+        if term is None:
+            raise _KernelRefused("non-affine subscript")
+        name, c = term
+        if name is None:
+            return None, c
+        if name in nest.vars:
+            axis = nest.vars.index(name)
+            if axis >= level:
+                raise _KernelRefused(f"{name} used outside its DO")
+            return axis, c
+        if self._kind(name) is not _CELL or self._ftype(name) is not _INT:
+            raise _KernelRefused(
+                f"subscript {name} not a loop-invariant INTEGER")
+        return nest.invariants.setdefault(
+            self._slot(name), nest.depth + len(nest.invariants)), c
+
+    def _kexpr(self, expr, level, nest):
         """Vectorized RHS: returns ``(numpy source, float-certain)``.
 
         Restrictions keep the elementwise result bit-identical to the
-        scalar path: affine float-array reads, INTEGER/REAL/DOUBLE
-        scalars (runtime-checked numeric), ``+ - *`` freely, ``/``
-        only by a nonzero literal with a float-certain side, unary
-        sign.  Anything else refuses the kernel."""
+        scalar path: float-array reads in the subscript forms of
+        :meth:`_kdim`, INTEGER/REAL/DOUBLE scalars (runtime-checked
+        numeric), ``+ - *`` freely, ``/`` by a nonzero literal with a
+        float-certain side or by a loop-invariant REAL value (an
+        element or a scalar) the runtime check finds a nonzero float,
+        unary sign.  Anything else refuses the kernel."""
         cls = expr.__class__
         if cls is ast.Num:
             return repr(expr.value), expr.value.__class__ is float
         if cls is ast.Var:
             name = expr.name
-            if name == dovar:
-                state["iv"] = True
-                return state["ivname"], False
+            if name in nest.vars:
+                axis = nest.vars.index(name)
+                if axis >= level:
+                    raise _KernelRefused(f"{name} used outside its DO")
+                temp = nest.values.get(axis)
+                if temp is None:
+                    temp = nest.values[axis] = self.temp("_kiv")
+                return temp, False
             if self._kind(name) is not _CELL:
                 raise _KernelRefused(f"scalar {name} not a local cell")
             ftype = self._ftype(name)
             if ftype not in (_INT, _REAL, _DOUBLE):
                 raise _KernelRefused(f"scalar {name} not numeric")
             slot = self._slot(name)
-            temp = scalars.get(slot)
+            temp = nest.scalars.get(slot)
             if temp is None:
-                temp = self.temp("_x")
-                scalars[slot] = temp
+                temp = nest.scalars[slot] = self.temp("_x")
             return temp, ftype is not _INT
         if cls is ast.Apply:
-            name = expr.name
-            if name in written:
-                raise _KernelRefused(f"{name} read after write")
-            if self._kind(name) is not _ARRAY \
-                    or self._ftype(name) not in (_REAL, _DOUBLE) \
-                    or len(expr.args) != 1:
-                raise _KernelRefused(f"{name} not a 1-D REAL array")
-            offset = index_offset(expr.args[0], dovar)
-            if offset is None:
-                raise _KernelRefused("non-affine subscript")
-            key = (self._slot(name), offset)
-            temp = reads.get(key)
-            if temp is None:
-                temp = self.temp("_r")
-                reads[key] = temp
+            temp, element = self._kslab(expr, level, nest, False)
+            if element:
+                value = nest.elements.get(temp)
+                if value is None:
+                    value = nest.elements[temp] = self.temp("_e")
+                return value, True
             return temp, True
         if cls is ast.UnaryOp and expr.op in ("-", "+"):
-            code, certain = self._kexpr(expr.operand, dovar, written,
-                                        reads, scalars, state)
+            code, certain = self._kexpr(expr.operand, level, nest)
             return (f"(-{code})" if expr.op == "-" else code), certain
         if cls is ast.BinOp:
             op = expr.op
             if op not in ("+", "-", "*", "/"):
                 raise _KernelRefused(f"operator {op} in kernel body")
-            lcode, lcert = self._kexpr(expr.left, dovar, written,
-                                       reads, scalars, state)
-            rcode, rcert = self._kexpr(expr.right, dovar, written,
-                                       reads, scalars, state)
+            lcode, lcert = self._kexpr(expr.left, level, nest)
+            rcode, rcert = self._kexpr(expr.right, level, nest)
             if op == "/":
                 divisor = expr.right
-                if divisor.__class__ is not ast.Num \
-                        or divisor.value == 0:
+                if divisor.__class__ is ast.Num:
+                    if divisor.value == 0:
+                        raise _KernelRefused("division by zero literal")
+                    if not (lcert or rcert):
+                        raise _KernelRefused("integer division in kernel")
+                elif divisor.__class__ is ast.Var and rcert \
+                        or rcode in nest.elements.values():
+                    nest.divisors.append(rcode)
+                else:
                     raise _KernelRefused("division not by a nonzero "
-                                         "literal")
-                if not (lcert or rcert):
-                    raise _KernelRefused("integer division in kernel")
+                                         "literal or invariant REAL")
                 return f"({lcode} / {rcode})", True
             return f"({lcode} {op} {rcode})", lcert or rcert
         raise _KernelRefused(
             f"{cls.__name__} in kernel body")
 
-    def _emit_kernel(self, stmt, i, plan) -> None:
+    def _emit_kernel(self, stmt, nest) -> None:
+        base = self.indent
         self.mat()
         first = self._expr(stmt.first)
         last = self._expr(stmt.last)
@@ -1844,77 +1984,147 @@ class _Emitter(_EmitterBase):
         kf = self.temp("_kf")
         kl = self.temp("_kl")
         ks = self.temp("_ks")
-        tr = self.temp("_kt")
-        # Guard verdict and slice views depend only on (first, step,
-        # trips) and the frame's fast views, which are fixed for the
-        # whole invocation — memoize them in function locals so a loop
-        # re-entered every outer sweep pays the guard once.
+        kt = self.temp("_kt")
+        # The guard verdict and slabs depend only on the ranges (loop
+        # bounds, trips and invariant subscript values) and the frame's
+        # fast views, which are fixed for the whole invocation —
+        # memoize them in function locals so a loop re-entered every
+        # outer sweep pays the guard once.
         mk = self.temp("_mk")
         mo = self.temp("_mo")
         self.inits.append(f"{mk} = None")
-        self.inits.append(f"{mo} = False")
+        self.inits.append(f"{mo} = None")
         self.w(f"{kf} = {first}", stmt.line)
         self.w(f"{kl} = {last}")
         self.w(f"{ks} = {step}")
         self.w(f"if {kf}.__class__ is int and {kl}.__class__ is int "
                f"and {ks}.__class__ is int and {ks} != 0:")
         self.indent += 1
-        self.w(f"{tr} = ({kl} - {kf} + {ks}) // {ks}")
-        writes = tuple(plan["targets"])
-        read_keys = tuple(plan["reads"])
-        spec = self.const((writes, read_keys), "_KS")
-        self.w(f"if {tr} > 0:")
+        self.w(f"{kt} = ({kl} - {kf} + {ks}) // {ks}")
+        self.w(f"if {kt} > 0:")
         self.indent += 1
-        self.w(f"if {mk} != ({kf}, {ks}, {tr}):")
-        self.indent += 1
-        self.w(f"{mk} = ({kf}, {ks}, {tr})")
-        self.w(f"{mo} = _kg(frame, {stmt.index}, {spec}, "
-               f"{kf}, {ks}, {tr})")
-        self.w(f"if {mo}:")
-        self.indent += 1
-        if plan["need_iv"]:
-            self.w(f"{plan['ivname']} = {kf} + {ks} * _arange({tr})")
-        wtemps = []
-        for (slot, offset), temp in plan["reads"].items():
-            self.w(f"{temp} = _ss(_fv[{slot}][0], "
-                   f"{kf} + {offset} - _fv[{slot}][1], {ks}, {tr})")
-        for slot, offset in plan["targets"]:
-            temp = self.temp("_wv")
-            wtemps.append(temp)
-            self.w(f"{temp} = _ss(_fv[{slot}][0], "
-                   f"{kf} + {offset} - _fv[{slot}][1], {ks}, {tr})")
-        self.indent -= 2
-        self.w(f"if {mo}:")
-        self.indent += 1
-        scalars = plan["scalars"]
-        for slot, temp in scalars.items():
-            self.w(f"{temp} = _sl[{slot}].value")
-        checks = " and ".join(f"_num2({t})" for t in scalars.values())
-        if checks:
-            self.w(f"if {checks}:")
+        ranges = [f"({kf}, {ks}, {kt})"]
+        if nest.depth == 2:
+            inner = nest.loops[1]
+            jf = self.temp("_jf")
+            jl = self.temp("_jl")
+            js = self.temp("_js")
+            jt = self.temp("_jt")
+            self.w(f"{jf} = {self._expr(inner.first)}")
+            self.w(f"{jl} = {self._expr(inner.last)}")
+            self.w(f"{js} = "
+                   + (self._expr(inner.step) if inner.step is not None
+                      else "1"))
+            self.w(f"if {js} != 0:")
             self.indent += 1
-        for temp, rhs in zip(wtemps, plan["rhs"]):
-            self.w(f"{temp}[...] = {rhs}")
-        vslot = self._slot(stmt.var)
-        self.w(f"_dofin(_sl[{vslot}], {kf} + {tr} * {ks})")
-        # Replay the generic loop's event stream: its first terminal
-        # flush carries the pending pre-loop cost, then one event per
-        # remaining iteration (a repeated Cost).  Equal events keep
-        # the scheduler's interleaving, hence makespan and lock order,
-        # identical to the oracle's.
-        w_it, n_it = plan["w_it"], plan["n_it"]
-        self.w(f"yield _C(_p + {w_it}, _n + {n_it})")
-        self.w(f"if {tr} > 1:")
-        self.w(f"    yield _C({w_it}, {n_it}, {tr} - 1)")
+            self.w(f"{jt} = max(({jl} - {jf} + {js}) // {js}, 0)")
+            ranges.append(f"({jf}, {js}, {jt})")
+        for slot in nest.invariants:
+            temp = self.temp("_ki")
+            self.w(f"{temp} = _sl[{slot}].value")
+            ranges.append(f"({temp}, 0, 1)")
+        kr = self.temp("_kr")
+        spec = self.const((tuple(do.index for do in nest.loops),
+                           tuple((slot, dims, written)
+                                 for (slot, dims), (_t, written)
+                                 in nest.slabs.items())), "_KS")
+        self.w(f"{kr} = ({', '.join(ranges)},)")
+        self.w(f"if {mk} != {kr}:")
+        self.w(f"    {mk} = {kr}")
+        self.w(f"    {mo} = _kg(frame, {spec}, {kr})")
+        self.w(f"if {mo} is not None:")
+        self.indent += 1
+        slabs = [temp for temp, _w in nest.slabs.values()]
+        self.w(f"{', '.join(slabs)}, = {mo}")
+        for slot, temp in nest.scalars.items():
+            self.w(f"{temp} = _sl[{slot}].value")
+        for slab, temp in nest.elements.items():
+            self.w(f"{temp} = {slab}.item()")
+        checks = [f"_num2({t})" for t in nest.scalars.values()]
+        checks += [f"{t}.__class__ is float and {t} != 0.0"
+                   for t in nest.divisors]
+        if checks:
+            self.w(f"if {' and '.join(checks)}:")
+            self.indent += 1
+        values = nest.values
+        if 0 in values:
+            axis0 = f"{kf} + {ks} * _arange({kt})"
+            self.w(f"{values[0]} = "
+                   + (f"({axis0})[:, None]" if nest.depth == 2
+                      else axis0))
+        for target, rhs in nest.runs[0]:
+            self.w(f"{target}[...] = {rhs}")
+        if nest.depth == 2:
+            self.w(f"if {jt}:")
+            self.indent += 1
+            if 1 in values:
+                self.w(f"{values[1]} = {jf} + {js} * _arange({jt})")
+            for target, rhs in nest.runs[1]:
+                self.w(f"{target}[...] = {rhs}")
+            self.indent -= 1
+            self.w(f"_dofin(_sl[{self._slot(inner.var)}], "
+                   f"{jf} + {jt} * {js})")
+        self.w(f"_dofin(_sl[{self._slot(stmt.var)}], {kf} + {kt} * {ks})")
+        self._replay(stmt, nest, kt, jt if nest.depth == 2 else None)
         self.w("_p = 0")
         self.w("_n = 0")
         self.w(f"pc = {stmt.terminal + 1}")
         self.w("via = False")
         self.w("continue")
-        if checks:
-            self.indent -= 1
-        self.indent -= 3
+        self.indent = base
         # guard failed: fall through into the generic DO lowering
+
+    def _replay(self, stmt, nest, kt, jt) -> None:
+        """Yield the generic loop's event stream: equal events keep the
+        scheduler's interleaving, hence makespan and lock order,
+        identical to the oracle's.
+
+        One loop flushes at its terminal once per iteration: the first
+        flush carries the pending pre-loop cost, the rest repeat.  A
+        nest flushes three times per outer iteration: at the first
+        inner terminal (carrying the outer iteration's leading
+        statements and the inner DO set-up, plus the pending cost on
+        the first outer iteration), once per further inner iteration
+        (one repeated event) and at the outer terminal.  An inner loop
+        of no trips leaves one flush per outer iteration, at the outer
+        terminal."""
+        scale = self.scale
+        lead, inner_body = nest.bodies
+        w_lead = sum(s.weight for s in lead) * scale
+        w_term = self.unit.statements[stmt.terminal].weight * scale
+        if jt is None:
+            w_it, n_it = w_lead + w_term, len(lead) + 1
+            self.w(f"yield _C(_p + {w_it}, _n + {n_it})")
+            self.w(f"if {kt} > 1:")
+            self.w(f"    yield _C({w_it}, {n_it}, {kt} - 1)")
+            return
+        inner = nest.loops[1]
+        w_head = inner.weight * scale
+        w_in = (sum(s.weight for s in inner_body)
+                + self.unit.statements[inner.terminal].weight) * scale
+        n_in = len(inner_body) + 1
+        w_first, n_first = w_lead + w_head + w_in, len(lead) + 1 + n_in
+        w_none, n_none = w_lead + w_head + w_term, len(lead) + 2
+        first, rest, close, again, it = (
+            self.temp("_ke") for _ in range(5))
+        self.w(f"if {jt}:")
+        self.indent += 1
+        self.w(f"{first} = _C(_p + {w_first}, _n + {n_first})")
+        self.w(f"{rest} = _C({w_in}, {n_in}, {jt} - 1) "
+               f"if {jt} > 1 else None")
+        self.w(f"{close} = _C({w_term}, 1)")
+        self.w(f"{again} = _C({w_first}, {n_first})")
+        self.w(f"for {it} in range({kt}):")
+        self.w(f"    yield {first}")
+        self.w(f"    if {rest} is not None:")
+        self.w(f"        yield {rest}")
+        self.w(f"    yield {close}")
+        self.w(f"    {first} = {again}")
+        self.indent -= 1
+        self.w("else:")
+        self.w(f"    yield _C(_p + {w_none}, _n + {n_none})")
+        self.w(f"    if {kt} > 1:")
+        self.w(f"        yield _C({w_none}, {n_none}, {kt} - 1)")
 
 
 _GEN_DISPATCH = {

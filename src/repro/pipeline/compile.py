@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro._util.errors import ForceError
+from repro.fortran.parser import join_continuations
 from repro.machines.model import MachineModel
 from repro.macros import (
     build_processor,
@@ -18,6 +19,8 @@ from repro.sedstage import translate_force_source
 _DRIVER_BEGIN = "C$FORCE BEGIN DRIVER"
 _DRIVER_END = "C$FORCE END DRIVER"
 _DIRECTIVE = re.compile(r"^C\$FORCE\s+SHARED\s+(\w+)\s*$", re.MULTILINE)
+#: a sed-output line that is a Force statement's macro call
+_MACRO_CALL = re.compile(r"[a-z][a-z0-9_]*\(")
 
 
 @dataclass
@@ -90,6 +93,7 @@ def force_translate(source: str, machine: MachineModel,
     expansion = _EXPANSIONS.get(key)
     if expansion is None:
         sed_output = translate_force_source(source)
+        _check_continuations(sed_output)
         m4 = build_processor(machine, extra)
         expanded = m4.process(sed_output + "\nforce_finalize()\n")
         fortran = _relocate_driver(expanded)
@@ -127,6 +131,29 @@ def _expansion_key(*texts: str | None) -> bytes:
         digest.update(len(data).to_bytes(8, "little"))
         digest.update(data)
     return digest.digest()
+
+
+def _check_continuations(sed_output: str) -> None:
+    """Reject a Fortran statement continued with ``&`` into a Force
+    statement or off the end of the program, at its own source line.
+
+    The sed stage maps source lines one to one, so its output still
+    numbers them as written.  Left to the Fortran parser, such a
+    statement would be merged with the macro expansion of the Force
+    statement after it and rejected at a line of the generated
+    Fortran.  ``force check`` reads the same runs of Fortran lines
+    between Force statements, so both commands give the same error.
+    """
+    run: list[tuple[int, str]] = []
+    for lineno, line in enumerate(sed_output.split("\n"), start=1):
+        if _MACRO_CALL.match(line):
+            for _ in join_continuations(run):
+                pass
+            run = []
+        elif line[:1] not in ("C", "c", "*", "!") and line.strip():
+            run.append((lineno, line.strip()))
+    for _ in join_continuations(run):
+        pass
 
 
 def _relocate_driver(expanded: str) -> str:

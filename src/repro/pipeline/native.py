@@ -49,6 +49,7 @@ import re
 import shutil
 import tempfile
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
@@ -217,11 +218,16 @@ class _ThreadSync:
         self._once: set = set()
         force._cancel.register(self.mutex)
 
-    def acquire(self, ref, label: str) -> None:
+    def acquire(self, ref, label: Callable[[], str]) -> None:
+        """Take the lock word; ``label()`` names it only if it must
+        wait (for the deadlock message)."""
         with self.mutex:
-            self.force._cancel.wait_for(
-                self.mutex, lambda: not bool(ref.get()),
-                what=f"native lock {label}")
+            cancel = self.force._cancel
+            cancel.check()
+            if ref.get():
+                cancel.wait_for(
+                    self.mutex, lambda: not bool(ref.get()),
+                    what=f"native lock {label()}")
             ref.set(True)
 
     def release(self, ref) -> None:
@@ -262,10 +268,14 @@ class _ProcessSync:
     def mutex(self):
         return self.force._bus
 
-    def acquire(self, ref, label: str) -> None:
-        with self.force._bus:
-            self.force._await(lambda: not bool(ref.get()),
-                              f"native lock {label}")
+    def acquire(self, ref, label: Callable[[], str]) -> None:
+        """:meth:`_ThreadSync.acquire` over the bus."""
+        force = self.force
+        with force._bus:
+            force._check_poison()
+            if ref.get():
+                force._await(lambda: not bool(ref.get()),
+                             f"native lock {label()}")
             ref.set(True)
 
     def release(self, ref) -> None:
@@ -318,7 +328,7 @@ class _RefLock(LockWord):
             return True
 
     def acquire(self) -> None:
-        self._sync.acquire(self._ref, self._label)
+        self._sync.acquire(self._ref, lambda: self._label)
 
     def release(self) -> None:
         self._sync.release(self._ref)
@@ -491,11 +501,13 @@ class _NativeRuntime(ExternalCallHandler):
     # see pipeline-native runs exactly like simulator and runtime-API
     # runs.
     def _locked(self, ref, frame: Frame) -> None:
-        label = self._label(ref, frame)
         probe = self.force._probe
         if probe is None:
-            self.sync.acquire(ref, label)
+            # the name only matters to a deadlock message: find it
+            # only if the lock must wait
+            self.sync.acquire(ref, lambda: self._label(ref, frame))
             return
+        label = self._label(ref, frame)
         held = probe.lock(lock_kind(label), label,
                           _RefLock(self.sync, ref, label))
         held.acquire()

@@ -63,6 +63,13 @@ from repro.sedstage.engine import SedProgram
 _TYPES = (r"(?:DOUBLE\s+PRECISION|INTEGER|REAL|LOGICAL|COMPLEX|"
           r"CHARACTER(?:\*\d+)?)")
 
+# A Forcecall actual list: text whose parentheses balance, nested up to
+# three deep (``A(2)``, ``B(1, IDX(K))``); one level at a time, since
+# Python regexes cannot recurse.
+_ACTUALS = r"[^()]*"
+for _ in range(3):
+    _ACTUALS = rf"(?:[^()]|\({_ACTUALS}\))*"
+
 # The translation script, in our sed dialect (Python regexes, one rule
 # per line).  Order matters: more specific statements come first.
 FORCE_SED_SCRIPT = r"""
@@ -71,7 +78,7 @@ s/^\s*Force\s+(\w+)\s+of\s+(\w+)\s+ident\s+(\w+)\s*$/force_main(`\1',`\2',`\3')/
 s/^\s*Forcesub\s+(\w+)\s*\(([^)]*)\)\s+of\s+(\w+)\s+ident\s+(\w+)\s*$/force_sub(`\1',`\2',`\3',`\4')/I
 s/^\s*Forcesub\s+(\w+)\s+of\s+(\w+)\s+ident\s+(\w+)\s*$/force_sub(`\1',`',`\2',`\3')/I
 s/^\s*Externf\s+(\w+)\s*$/externf(`\1')/I
-s/^\s*Forcecall\s+(\w+)\s*\(([^)]*)\)\s*$/forcecall(`\1',`\2')/I
+s/^\s*Forcecall\s+(\w+)\s*\((@ACTUALS@)\)\s*$/forcecall(`\1',`\2')/I
 s/^\s*Forcecall\s+(\w+)\s*$/forcecall(`\1',`')/I
 s/^\s*End\s+declarations\s*$/end_declarations()/I
 s/^\s*Join\s*$/join_force()/I
@@ -115,7 +122,7 @@ s/^\s*End\s+pcase\s*$/end_pcase()/I
 s/^\s*Askfor\s+(\d+)\s+(\w+)\s+from\s+(\w+)\s*$/askfor(`\1',`\2',`\3')/I
 s/^\s*Putwork\s+(\w+)\s*=\s*(.*)$/putwork(`\1',`\2')/I
 s/^\s*(\d+)\s+End\s+askfor\s*$/end_askfor(`\1')/I
-""".replace("@TYPES@", _TYPES)
+""".replace("@TYPES@", _TYPES).replace("@ACTUALS@", _ACTUALS)
 
 _COMPILED: SedProgram | None = None
 _COMPILE_LOCK = threading.Lock()

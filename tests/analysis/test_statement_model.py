@@ -25,8 +25,8 @@ from repro.fortran.accesses import (
     affine,
     affine_difference,
     guard,
-    index_offset,
     statement_accesses,
+    unit_term,
 )
 from repro.fortran.parser import (
     parse_expression,
@@ -159,8 +159,7 @@ class TestForceOperands:
     sed-stage macro arguments."""
 
     def test_forcecall_actual_forms(self):
-        # sed passes only flat actual lists, so build the macro node the
-        # construct parser would make to cover the A(I) actual as well
+        # the macro node the construct parser makes for these actuals
         actuals = "A, A(I), I+1, B(J, K+1)"
         routine = Routine(name="P", kind="main", np_var="NP",
                           ident_var="ME", line=1, body=[MacroStmt(
@@ -254,7 +253,16 @@ class TestAffine:
         ("2*I", None), ("I + J", None), ("1 - I", None), ("I + 1.0", None),
     ])
     def test_kernel_index_offset(self, text, offset):
-        assert index_offset(parse_expression(text), "I") == offset
+        term = unit_term(parse_expression(text))
+        assert (None if term is None else term[1]) == offset
+        assert term is None or term[0] == "I"
+
+    @pytest.mark.parametrize("text,term", [
+        ("K", ("K", 0)), ("K + 1", ("K", 1)), ("7", (None, 7)),
+        ("2 - 3", (None, -1)), ("K - K", None), ("N*K", None),
+    ])
+    def test_kernel_unit_term(self, text, term):
+        assert unit_term(parse_expression(text)) == term
 
 
 TRAILING_UNIT = """

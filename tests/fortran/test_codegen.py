@@ -303,6 +303,28 @@ class TestKernelsMatchTheOracle:
         assert [(e.statements, e.repeat) for e in repeated] == [(2, 7)]
 
 
+class TestGeneratedNames:
+    def test_temporaries_never_shadow_the_frame_views(self):
+        # the computed GOTO takes temporary 1, so the DO's first bound
+        # is temporary 2 under the prefix "_f"; it once reused the name
+        # of the 2-D fast-view list and the store below it crashed
+        program = parse_source(strip_margin("""\
+              PROGRAM P
+              REAL A(2, 2)
+              INTEGER I, K
+              K = 1
+              GO TO (5, 5), K
+        5     DO 10 I = 1, 2
+              A(I, 1) = 1.5
+        10    CONTINUE
+              WRITE(*,*) A(2, 1)
+              END
+        """))
+        interp, _, _ = run_source_tier(program)
+        assert interp.output == ["1.5"]
+        assert interp.compile_fallbacks == {}
+
+
 class TestProvenanceComments:
     def test_generated_source_maps_back_to_fortran_lines(self):
         program = parse_source(KERNEL_SOURCE)

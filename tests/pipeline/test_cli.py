@@ -253,6 +253,68 @@ class TestErrors:
         assert main(["run", str(path)]) == 1
 
 
+class TestSourceLines:
+    """Force statements the sed stage must see whole, and errors cited
+    at the line of the Force source rather than of the generated
+    Fortran."""
+
+    FORCECALL = strip_margin("""
+        Force MAIN of NP ident ME
+        Shared REAL A(4), B(2, 3)
+        End declarations
+        Barrier
+              A(2) = 5.0
+              B(1, 2) = 7.0
+        End barrier
+        Forcecall SHOW(A(2), B(1,2))
+        Join
+              END
+        Forcesub SHOW(X, Y) of NP ident ME
+        End declarations
+        Barrier
+              WRITE(*,*) "X", X, "Y", Y
+        End barrier
+              RETURN
+              END
+    """)
+
+    CONTINUED = strip_margin("""
+        Force CONT of NP ident ME
+        Shared INTEGER X
+        End declarations
+        Barrier
+              X = 1 + &
+        End barrier
+        Join
+              END
+    """)
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "prog.frc"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_forcecall_actual_with_parentheses(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.FORCECALL)
+        for machine in ("sequent-balance", "hep"):
+            for tier in ("source", "interp"):
+                assert main(["run", path, "--machine", machine,
+                             "--nproc", "2", "--codegen", tier]) == 0
+                assert capsys.readouterr().out.split() == \
+                    ["X", "5.0", "Y", "7.0"]
+        assert main(["check", path]) == 0
+        assert "F002" not in capsys.readouterr().out
+
+    def test_continuation_into_a_force_statement(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.CONTINUED)
+        wording = "a statement continued with '&' has no next line"
+        assert main(["run", path, "--nproc", "2"]) == 1
+        assert f"line 5: {wording}" in capsys.readouterr().err
+        assert main(["check", path]) == 1
+        out = capsys.readouterr().out
+        assert ":5: error[F002]" in out and wording in out
+
+
 class TestExitCodeTaxonomy:
     """The documented exit statuses: 0 ok, 1 program error, 2 usage,
     3 deadlock/timeout — so scripts can tell "the program is wrong"

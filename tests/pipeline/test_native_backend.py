@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro._util.errors import ForceError
+from repro._util.errors import ForceDeadlockError, ForceError
 from repro.machines import get_machine
 from repro.pipeline.cli import main
 from repro.pipeline.compile import force_translate
@@ -251,6 +251,25 @@ class TestCliBackendFlag:
         assert main(["run", source_file, "--backend", "thread",
                      "--machine", "python-host", "--nproc", "2"]) == 0
         assert "TOTAL 1275" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_deadlocked_lock_names_its_variable(self, backend):
+        # a nested critical section on one lock waits on itself; the
+        # lock's name is looked up only once it has to wait
+        translation = _host_translation(
+            "      Force SELF of NP ident ME\n"
+            "      Shared INTEGER X\n"
+            "      End declarations\n"
+            "      Critical LCK\n"
+            "      Critical LCK\n"
+            "      X = 1\n"
+            "      End critical\n"
+            "      End critical\n"
+            "      Join\n"
+            "      END\n")
+        with pytest.raises(ForceDeadlockError,
+                           match="while parked on native lock LCK "):
+            native_run(translation, 1, backend=backend, deadline=1)
 
     def test_deadline_fires_as_exit_3(self, tmp_path, capsys):
         # Only member 1 ever arrives at the barrier: with nproc=2 the
