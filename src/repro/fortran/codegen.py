@@ -40,7 +40,8 @@ with :func:`compile`.  Four things make it fast:
   :class:`~repro.fortran.interp.Cost` with ``repeat``), so the
   scheduler interleaves processes exactly as it would for the generic
   loop; if the guard fails the loop runs on the generic path emitted
-  right below it.
+  right below it, and the failed check is reported with the
+  recognizer's refusals.
 
 Artifacts are cached per ``(unit, facts_digest, cost_scale)`` — the
 facts digest in the key is what invalidates ``kernel_eligible``
@@ -481,11 +482,15 @@ def _kg(frame, spec, ranges):
     A slab has the nest's shape: ``(trips,)`` for one loop,
     ``(outer trips, inner trips)`` for two, with size-1 axes where a
     subscript leaves a loop out; a loop-invariant element is a 0-d
-    view."""
+    view.
+
+    A failed check returns None and records its reason
+    (:func:`_kgno`), so a lowered loop that ran generic is reported
+    rather than skipped silently."""
     loops, accesses = spec
     for entry in frame.do_stack:
         if entry[0] in loops:
-            return None
+            return _kgno(frame, loops, "stale DO entry of the nest")
     depth = len(loops)
     fast = frame.fast if depth == 1 else frame.fast2
     boxes = []
@@ -493,7 +498,7 @@ def _kg(frame, spec, ranges):
     for slot, dims, _written in accesses:
         f = fast[slot]
         if f is None or f[-1]:
-            return None
+            return _kgno(frame, loops, f"no float rank-{depth} view")
         box = []
         index = []
         walks = []
@@ -505,7 +510,7 @@ def _kg(frame, spec, ranges):
             else:
                 first, step, trips = ranges[axis]
                 if first.__class__ is not int:
-                    return None
+                    return _kgno(frame, loops, "non-integer subscript")
                 if not trips:
                     box = None
                     break
@@ -520,7 +525,7 @@ def _kg(frame, spec, ranges):
                 if lo > hi:
                     lo, hi = hi, lo
             if lo < lower or hi >= lower + f[d + 1]:
-                return None
+                return _kgno(frame, loops, "subscript out of bounds")
             box.append((lo, hi))
             if len(index) < len(box):
                 index.append(lo - lower)
@@ -544,14 +549,27 @@ def _kg(frame, spec, ranges):
                 continue
             if other != slot:
                 if np.may_share_memory(data, fast[other][0]):
-                    return None
+                    return _kgno(frame, loops,
+                                 "written array aliases another")
                 continue
             for (lo, hi), (olo, ohi) in zip(boxes[a], boxes[b]):
                 if hi < olo or ohi < lo:
                     break       # disjoint in this dimension
             else:
-                return None
+                return _kgno(frame, loops,
+                             "write overlaps another access")
     return slabs
+
+
+def _kgno(frame, loops, why):
+    """Record why the kernel guard sent the DOALL heading ``loops``
+    down the generic path (the first reason per loop, reported beside
+    the recognizer's refusals); returns None."""
+    unit = frame.unit
+    label = unit.statements[loops[0]].term_label
+    refused = frame.interpreter._codegen.guard_refused
+    refused.setdefault(unit.name, {}).setdefault(
+        label, f"runtime guard: {why}")
 
 
 #: Names injected into every generated module's namespace.
@@ -776,6 +794,9 @@ class CodegenProgram:
         self.kernelized: dict[str, list[int]] = {}
         #: unit name -> {label: reason} of eligible loops not lowered
         self.kernel_refused: dict[str, dict[int, str]] = {}
+        #: unit name -> {label: reason} of lowered loops whose runtime
+        #: guard failed on some entry (see :func:`_kgno`)
+        self.guard_refused: dict[str, dict[int, str]] = {}
         #: unit name -> the artifact its generated code came from
         self.emitted: dict[str, _Artifact] = {}
 

@@ -428,9 +428,16 @@ class Interpreter:
     @property
     def codegen_kernel_refused(self) -> dict[str, dict[int, str]]:
         """Unit name -> {label: reason} for kernel-eligible DOALLs the
-        source-codegen tier left on the generic loop path."""
-        return {} if self._codegen is None \
-            else dict(self._codegen.kernel_refused)
+        source-codegen tier left on the generic loop path: the
+        recognizer's refusals, and the lowered loops whose runtime
+        guard failed (reason ``"runtime guard: ..."``)."""
+        if self._codegen is None:
+            return {}
+        refused = {name: dict(labels) for name, labels
+                   in self._codegen.kernel_refused.items()}
+        for name, labels in self._codegen.guard_refused.items():
+            refused.setdefault(name, {}).update(labels)
+        return refused
 
     def codegen_sources(self) -> Mapping[str, str]:
         """Unit name -> generated Python source (source tier only;

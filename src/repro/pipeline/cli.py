@@ -254,8 +254,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--min-nproc", type=_positive_int, default=None,
                      metavar="M",
                      help="allow elastic restart down to M workers "
-                          "(refused when --facts shows a non-race-free "
-                          "DOALL; default: no degradation)")
+                          "(refused when the facts, from --facts or "
+                          "computed in-process on the source tier, "
+                          "leave a DOALL unproven race-free; default: "
+                          "no degradation)")
     run.add_argument("--facts", metavar="FILE", default=None,
                      help="analysis facts written by 'force check "
                           "--facts', used instead of the facts the "
@@ -553,11 +555,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ForceError(str(exc)) from None
         facts = _fresh_facts(facts, args.facts)
-        if facts is not None and args.backend != "sim" and not supervised:
-            print("force: note: --facts gates the simulator's generated "
-                  "code; ignored for unsupervised native runs",
-                  file=sys.stderr)
-            facts = None
     if args.backend == "sim":
         result = force_run(translation, args.nproc,
                            trace=args.trace is not None,
@@ -579,7 +576,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             checkpoint_dir=args.checkpoint,
                             checkpoint_every=args.checkpoint_every,
                             resume=args.resume,
-                            facts=facts if supervised else None)
+                            facts=facts)
     if args.dump_codegen is not None:
         _dump_codegen(args.dump_codegen, result, args.backend)
     trace_file = None
@@ -627,9 +624,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 document["supervision"] = result.supervision
         else:
             document["makespan"] = result.makespan
-            document["kernel_eligible"] = result.kernel_eligible
-            document["kernelized_doalls"] = result.kernelized_doalls
-            document["kernel_refused"] = result.kernel_refused
+        document["kernel_eligible"] = result.kernel_eligible
+        document["kernelized_doalls"] = result.kernelized_doalls
+        document["kernel_refused"] = result.kernel_refused
         if args.stats:
             document["stats"] = result.stats_dict()
         if trace_file is not None:
@@ -654,7 +651,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.stats:
             from repro.runtime.stats import render_stats
             print(render_stats(result.stats_dict()), file=sys.stderr)
-        if facts is not None and not native:
+        if facts is not None:
             count = sum(len(labels)
                         for labels in result.kernel_eligible.values())
             lowered = sum(len(labels)

@@ -44,6 +44,7 @@ output is identical.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import re
 import shutil
@@ -69,10 +70,12 @@ from repro.fortran.interp import (
     StopSignal,
     ValueRef,
     drain,
+    execution_tier,
 )
 from repro.fortran.parser import parse_source
 from repro.fortran.values import FArray, FType
 from repro.pipeline.compile import TranslationResult
+from repro.pipeline.run import program_facts
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.force import Force
 from repro.runtime.probe import LockWord
@@ -565,22 +568,28 @@ def _native_worker(force, me: int, spec: dict) -> None:
     Member 1 doubles as the driver (``PROGRAM FORCED``): startup unit,
     environment init, then ``FRKALL`` releases members 2..N and runs
     the main unit inline, and ``FRCJON`` joins.  Other members park at
-    the go barrier, run the main unit, and join.
+    the go barrier, run the main unit, and join.  Every member's
+    interpreter gets the run's one facts document, so the DOALLs it
+    proves race-free run as numpy kernels (on the process backend over
+    the arena's views of shared COMMON); the member writes its output
+    and its kernel report to ``spec["outdir"]``.
     """
     if spec["backend"] == "thread":
         state = _THREAD_RUNS[spec["run_id"]]
         program = state["program"]
         runtime = state["runtime"]
         commons = state["commons"]
+        facts = state["facts"]
     else:
         program = parse_source(spec["fortran"])
         commons = _ProcessCommons(force, frozenset(spec["shared"]))
         runtime = _NativeRuntime(force, _ProcessSync(force), program,
                                  spec["main"])
+        facts = spec["facts"]
     lines: list[str] = []
     interp = Interpreter(program, external=runtime, commons=commons,
                          on_output=lambda line, frame: lines.append(line),
-                         codegen=spec.get("codegen"))
+                         facts=facts, codegen=spec.get("codegen"))
     try:
         if me == 1:
             try:
@@ -604,6 +613,38 @@ def _native_worker(force, me: int, spec: dict) -> None:
         path = os.path.join(spec["outdir"], f"out-{me}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in lines)
+        path = os.path.join(spec["outdir"], f"kernels-{me}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump([interp.kernel_eligible, interp.codegen_kernelized,
+                       interp.codegen_kernel_refused], handle)
+
+
+def _kernel_union(outdir: str, nproc: int) -> tuple[dict, dict, dict]:
+    """Union of the members' kernel reports: (eligible, kernelized,
+    refused), labels sorted; a refused label keeps the lowest member's
+    reason."""
+    eligible: dict[str, set[int]] = {}
+    kernelized: dict[str, set[int]] = {}
+    refused: dict[str, dict[int, str]] = {}
+    for me in range(1, nproc + 1):
+        path = os.path.join(outdir, f"kernels-{me}.json")
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            member_eligible, member_kernelized, member_refused = \
+                json.load(handle)
+        for union, report in ((eligible, member_eligible),
+                              (kernelized, member_kernelized)):
+            for unit, labels in report.items():
+                union.setdefault(unit, set()).update(labels)
+        for unit, reasons in member_refused.items():
+            known = refused.setdefault(unit, {})
+            for label, why in reasons.items():
+                known.setdefault(int(label), why)
+    return ({unit: sorted(labels) for unit, labels in eligible.items()},
+            {unit: sorted(labels) for unit, labels in kernelized.items()},
+            {unit: dict(sorted(reasons.items()))
+             for unit, reasons in refused.items()})
 
 
 # ----------------------------------------------------------------------
@@ -624,11 +665,23 @@ class NativeRunResult:
     metrics_doc: dict | None = None     #: registry dict (metrics=True)
     #: the supervisor's attempt-by-attempt report (supervised runs)
     supervision: dict | None = None
+    #: unit name → labels of DO loops the facts proved race-free, the
+    #: union over members (as :attr:`RunResult.kernel_eligible`)
+    kernel_eligible: dict[str, list[int]] = field(default_factory=dict)
+    #: unit name → labels of DOALLs lowered to numpy kernels (union)
+    kernelized_doalls: dict[str, list[int]] = field(default_factory=dict)
+    #: unit name → {label: reason} for eligible loops left on the
+    #: generic path, the recognizer's or the runtime guard's (union)
+    kernel_refused: dict[str, dict[int, str]] = \
+        field(default_factory=dict)
 
     def stats_dict(self) -> dict[str, Any]:
         document: dict[str, Any] = {
             "native": {"backend": self.backend, "nproc": self.nproc,
-                       "wall_s": round(self.wall_s, 6)},
+                       "wall_s": round(self.wall_s, 6),
+                       "kernel_eligible": self.kernel_eligible,
+                       "kernelized_doalls": self.kernelized_doalls,
+                       "kernel_refused": self.kernel_refused},
         }
         if self.force_stats is not None:
             document.update(self.force_stats)
@@ -661,12 +714,23 @@ def native_run(translation: TranslationResult, nproc: int, *,
     overflow drops the oldest events and the count surfaces as
     :attr:`NativeRunResult.trace_dropped`.
 
-    Supervision (PR 9): ``retries > 0`` or a ``checkpoint_dir`` routes
+    ``facts`` is an analysis facts document, as for
+    :func:`~repro.pipeline.run.force_run`: on the source tier
+    ``facts=None`` means the facts of ``translation.force_source``,
+    computed once per process (:func:`program_facts`), and
+    ``facts={}`` proves nothing; ``codegen="interp"`` analyses
+    nothing.  Every member's interpreter gets the one document and
+    lowers the DOALLs it proves race-free to numpy kernels, reported
+    in :attr:`NativeRunResult.kernelized_doalls` (refusals in
+    :attr:`NativeRunResult.kernel_refused`).
+
+    Supervision: ``retries > 0`` or a ``checkpoint_dir`` routes
     the run through a :class:`~repro.runtime.supervisor.SupervisedRun`
     — transient failures (a worker death, a structured deadlock
     verdict) are retried with capped backoff, restarting elastically
-    down to ``min_nproc`` when a ``facts`` document proves every DOALL
-    race-free (or no document is supplied).  Checkpointing requires
+    down to ``min_nproc`` when the same facts document proves every
+    DOALL race-free (or, on ``codegen="interp"`` with no document
+    supplied, always).  Checkpointing requires
     the process backend: there shared COMMON lives in the Force's
     arena, inside the snapshot scope, while the thread backend keeps
     COMMON in interpreter storage the checkpointer cannot see.  Note
@@ -691,6 +755,8 @@ def native_run(translation: TranslationResult, nproc: int, *,
                          "(is this a Force program?)")
     main_name = spawn.group(1)
     shared = shared_block_names(fortran)
+    if facts is None and execution_tier(codegen) == "source":
+        facts = program_facts(translation.force_source)
     supervised = retries > 0 or checkpoint_dir is not None or resume
     policy = None
     if checkpoint_dir is not None:
@@ -718,6 +784,7 @@ def native_run(translation: TranslationResult, nproc: int, *,
     else:
         spec["fortran"] = fortran
         spec["shared"] = sorted(shared)
+        spec["facts"] = facts
 
     def build_force(width: int, restore=None) -> Force:
         """One attempt's force plus its fresh interpreter state."""
@@ -734,6 +801,7 @@ def native_run(translation: TranslationResult, nproc: int, *,
                 "runtime": _NativeRuntime(force, _ThreadSync(force),
                                           program, main_name),
                 "commons": _ThreadCommons(shared),
+                "facts": facts,
             }
         return force
 
@@ -764,6 +832,7 @@ def native_run(translation: TranslationResult, nproc: int, *,
                 with open(path, encoding="utf-8") as handle:
                     output.extend(line.rstrip("\n")
                                   for line in handle)
+        eligible, kernelized, refused = _kernel_union(outdir, final_nproc)
     finally:
         if run_id is not None:
             _THREAD_RUNS.pop(run_id, None)
@@ -780,4 +849,7 @@ def native_run(translation: TranslationResult, nproc: int, *,
         metrics_doc=force.metrics_registry(wall_s=wall_s).as_dict()
         if metrics else None,
         supervision=supervision_doc,
+        kernel_eligible=eligible,
+        kernelized_doalls=kernelized,
+        kernel_refused=refused,
     )

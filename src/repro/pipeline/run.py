@@ -57,9 +57,10 @@ class RunResult:
     #: unit name → labels of DOALLs the source-codegen tier actually
     #: lowered to numpy slice kernels (subset of ``kernel_eligible``)
     kernelized_doalls: dict[str, list[int]] = field(default_factory=dict)
-    #: unit name → {label: reason} for the eligible loops the
-    #: source-codegen tier refused to lower (the kernel recognizer's
-    #: verdict, e.g. "body not a run of assignments")
+    #: unit name → {label: reason} for the eligible loops left on the
+    #: generic path: the kernel recognizer's verdict (e.g. "body not a
+    #: run of assignments"), or for a lowered loop the runtime guard's
+    #: first failed check ("runtime guard: ...")
     kernel_refused: dict[str, dict[int, str]] = \
         field(default_factory=dict)
     #: unit name → generated Python source (source tier only), for

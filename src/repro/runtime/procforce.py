@@ -50,7 +50,8 @@ import os
 import pickle
 import queue as queue_module
 import threading
-from time import monotonic, sleep
+from multiprocessing.connection import wait
+from time import monotonic
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -1040,13 +1041,23 @@ class ProcessForce(Force):
                 proc.start()
             deadline = None if self.timeout is None \
                 else monotonic() + self.timeout
+            # Block on the workers' sentinels and the result queue's
+            # pipe: the parent wakes when a worker exits or a payload
+            # arrives, never on a polling tick.  A sentinel closes
+            # while its worker is still exiting, so the worker is
+            # reaped then and its sentinel not waited on again.
+            reader = self._queue._reader
+            pending = {proc.sentinel: proc for proc in procs}
             while True:
                 self._drain(payloads)
                 if all(not proc.is_alive() for proc in procs):
                     break
                 if deadline is not None and monotonic() > deadline:
                     break
-                sleep(0.005)
+                for ready in wait([*pending, reader],
+                                  self._left(deadline)):
+                    if ready in pending:
+                        pending.pop(ready).join(self._left(deadline))
             # Post-join grace: the queue feeder flushes before a
             # worker bumps its shipped counter, so wait (briefly)
             # until every shipped payload arrived.
@@ -1054,7 +1065,7 @@ class ProcessForce(Force):
             while len(payloads) < int(self._shipped_v[0]) and \
                     monotonic() < grace:
                 self._drain(payloads)
-                sleep(0.005)
+                wait([reader], self._left(grace))
             self._drain(payloads)
             self._absorb(payloads)
             failure = self._load_error()
@@ -1102,6 +1113,12 @@ class ProcessForce(Force):
                 self._arena.close()
                 self._arena.unlink()
                 self._arena = None
+
+    @staticmethod
+    def _left(deadline: float | None) -> float | None:
+        """Seconds until ``deadline`` (None: no deadline)."""
+        return None if deadline is None \
+            else max(0.0, deadline - monotonic())
 
     def _drain(self, payloads: list) -> None:
         while True:

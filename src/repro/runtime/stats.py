@@ -253,6 +253,12 @@ def _fmt_s(seconds: float) -> str:
     return f"{seconds * 1e3:.2f}ms"
 
 
+def _labels(by_unit: dict[str, list[int]]) -> str:
+    """``UNIT 10,20; OTHER 5`` for a unit -> loop labels map."""
+    return "; ".join(f"{unit} {','.join(str(label) for label in labels)}"
+                     for unit, labels in sorted(by_unit.items()))
+
+
 def render_stats(stats: dict[str, Any]) -> str:
     """Render a stats dict (native runtime and/or simulator sections).
 
@@ -284,6 +290,16 @@ def render_stats(stats: dict[str, Any]) -> str:
         if native.get("wall_s") is not None:
             lines.append(f"wall clock:          "
                          f"{_fmt_s(native['wall_s'])}")
+        for key, title in (("kernel_eligible", "kernel-eligible:"),
+                           ("kernelized_doalls", "kernelized:")):
+            if key in native:
+                lines.append(f"{title:20s} "
+                             f"{_labels(native[key]) or 'none'}")
+        for unit, reasons in sorted(native.get("kernel_refused",
+                                               {}).items()):
+            for label, why in sorted(reasons.items()):
+                lines.append(f"kernel refused:      {unit} {label}: "
+                             f"{why}")
 
     barriers = stats.get("barriers")
     if barriers and barriers["wait"]["count"]:

@@ -21,6 +21,7 @@ from repro.m4 import MacroError
 from repro.machines import get_machine
 from repro.machines.catalog import MACHINES
 from repro.pipeline.compile import force_translate
+from repro.pipeline.native import NATIVE_BACKENDS, native_run
 from repro.pipeline.run import force_run, program_facts
 
 REPO = Path(__file__).resolve().parents[2]
@@ -142,11 +143,43 @@ class TestFactsTable:
     def test_other_tiers_never_analyse(self, facts_table, analysed):
         translation = self._jacobi()
         force_run(translation, 2, codegen="interp")
-        from repro.pipeline.native import native_run
-        native = force_translate(programs.render("jacobi", n=16),
-                                 get_machine("python-host"))
-        native_run(native, 2, backend="thread", deadline=60)
         assert analysed == [] and facts_table == {}
+
+    def test_native_runs_share_one_analysis(self, facts_table, analysed):
+        native = self._jacobi("python-host")
+        for backend in NATIVE_BACKENDS:
+            for nproc in (1, 2):
+                result = native_run(native, nproc, backend=backend,
+                                    deadline=60)
+                assert result.kernelized_doalls == {"JACOBI": [10, 20]}
+        # the simulator's runs of the same source hit that entry too
+        force_run(self._jacobi(), 2)
+        assert analysed == [native.force_source]
+        assert len(facts_table) == 1
+
+    def test_native_interp_tier_never_analyses(self, facts_table,
+                                               analysed):
+        native = self._jacobi("python-host")
+        for backend in NATIVE_BACKENDS:
+            result = native_run(native, 2, backend=backend, deadline=60,
+                                codegen="interp")
+            assert result.kernel_eligible == {}
+            assert result.kernelized_doalls == {}
+        assert analysed == [] and facts_table == {}
+
+    def test_failing_analysis_proves_nothing_natively(self, facts_table,
+                                                      monkeypatch):
+        def broken(source, *args, **kwargs):
+            raise RuntimeError("analysis bug")
+
+        monkeypatch.setattr(analysis_facts, "source_facts", broken)
+        native = self._jacobi("python-host")
+        oracle = force_run(self._jacobi(), 2, codegen="interp")
+        for backend in NATIVE_BACKENDS:
+            result = native_run(native, 2, backend=backend, deadline=60)
+            assert result.kernelized_doalls == {}
+            assert sorted(result.output) == sorted(oracle.output)
+        assert list(facts_table.values()) == [{}]
 
     def test_failing_analysis_proves_nothing(self, facts_table,
                                              monkeypatch):

@@ -288,6 +288,8 @@ def test_guard_refuses_a_read_inside_the_written_rows(made):
     for result in sweep(made, OVERLAP, facts=race_free("OV", 10)):
         # the recognizer lowers it; only the runtime guard says no
         assert result.kernelized_doalls == {"OV": [10]}
+        assert result.kernel_refused == \
+            {"OV": {10: "runtime guard: write overlaps another access"}}
 
 
 def test_zero_pivot_raises_the_generic_error():
