@@ -16,12 +16,13 @@ needs:
   memory stays bounded, the kept samples spread across the whole run,
   and the process is deterministic — no RNG in the hot path.
 
-Cost model: a Force constructed without ``metrics=True`` keeps no
-registry at all.  With it, every Force process records into a
-:class:`ForceMetrics` reducer of its own, fed by the run's
-:class:`~repro.runtime.probe.Probe` (one dict lookup + a few float
-ops), and reads fold the processes' registries with
-:meth:`MetricsRegistry.merge`.
+Cost model: a Force constructed without ``metrics=True`` or
+``stats=True`` keeps no registry at all.  With either, every Force
+process records into a :class:`ForceMetrics` reducer of its own, fed
+by the run's :class:`~repro.runtime.probe.Probe` (one dict lookup + a
+few float ops), and reads fold the processes' registries with
+:meth:`MetricsRegistry.merge`; ``Force.stats`` is :func:`stats_view`
+of that fold.
 
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition
 format) and :meth:`MetricsRegistry.as_dict` (JSON document, schema
@@ -459,9 +460,10 @@ def validate_metrics(document: Any) -> list[str]:
 class ForceMetrics:
     """The runtime's metric surface over one registry.
 
-    The count reducer the probe feeds beside
-    :class:`~repro.runtime.stats.ForceStats` (same method signatures),
-    and the one place the metric names and label conventions live:
+    Each Force process's one count reducer (the probe feeds it every
+    barrier, critical, chunk and asyncvar fact), and the one place the
+    metric names and label conventions live; :func:`stats_view` reads
+    the ``Force.stats`` document off a folded registry:
 
     ========================================  ======================
     metric                                    labels
@@ -474,6 +476,7 @@ class ForceMetrics:
     ``force_critical_hold_seconds``           ``name``
     ``force_selfsched_chunks_total``          ``label``
     ``force_selfsched_indices_total``         ``label``
+    ``force_selfsched_chunk_max``             ``label``
     ``force_askfor_put_total``                ``pool``
     ``force_askfor_got_total``                ``pool``
     ``force_askfor_depth_max``                ``pool``
@@ -529,6 +532,11 @@ class ForceMetrics:
                          "each)").inc()
         reg.counter("selfsched_indices_total", labels,
                     help="Loop indices handed out").inc(size)
+        chunk_max = reg.gauge("selfsched_chunk_max", labels,
+                              help="Largest chunk handed out",
+                              mode="max")
+        if size > chunk_max.value:
+            chunk_max.set(size)
 
     # -- askfor / asyncvar ---------------------------------------------
     def askfor(self, pool: str, *, total_put: int, total_got: int,
@@ -581,6 +589,66 @@ class ForceMetrics:
             reg.gauge("run_wall_seconds",
                       help="Wall-clock of the run",
                       mode="max").set(wall_s)
+
+
+def wait_dict(histogram: Histogram | None) -> dict[str, float]:
+    """A seconds histogram as ``{count,total_s,mean_s,min_s,max_s,
+    spread_s}``: the wait sections of ``--stats`` and ``force trace``.
+    An absent or empty histogram reports zeros, never the +inf min
+    sentinel."""
+    if histogram is None or not histogram.count:
+        return {"count": 0, "total_s": 0.0, "mean_s": 0.0, "min_s": 0.0,
+                "max_s": 0.0, "spread_s": 0.0}
+    return {"count": histogram.count, "total_s": histogram.sum,
+            "mean_s": histogram.sum / histogram.count,
+            "min_s": histogram.min, "max_s": histogram.max,
+            "spread_s": histogram.max - histogram.min}
+
+
+def stats_view(registry: MetricsRegistry) -> dict[str, Any]:
+    """The ``Force.stats`` document, read off a folded registry.
+
+    Counters and gauges map to ints, histograms through
+    :func:`wait_dict`; each per-name section is sorted by name.
+    """
+    #: family -> label value -> metric (ForceMetrics families carry at
+    #: most one label each)
+    series: dict[str, dict[str, Any]] = {}
+    for name, labels, metric in registry._snapshot():
+        series.setdefault(name, {})[next(iter(labels.values()), "")] = \
+            metric
+
+    def count(name: str, key: str = "") -> int:
+        metric = series.get(name, {}).get(key)
+        return int(metric.value) if metric is not None else 0
+
+    def wait(name: str, key: str = "") -> dict[str, float]:
+        return wait_dict(series.get(name, {}).get(key))
+
+    return {
+        "nproc": count("processes"),
+        "barriers": {"episodes": count("barrier_episodes_total"),
+                     "wait": wait("barrier_wait_seconds")},
+        "criticals": {
+            name: {"acquisitions": count("critical_acquisitions_total",
+                                         name),
+                   "contended": count("critical_contended_total", name),
+                   "wait": wait("critical_wait_seconds", name)}
+            for name in series.get("critical_acquisitions_total", {})},
+        "selfsched": {
+            label: {"chunks": count("selfsched_chunks_total", label),
+                    "indices": count("selfsched_indices_total", label),
+                    "max_chunk": count("selfsched_chunk_max", label)}
+            for label in series.get("selfsched_chunks_total", {})},
+        "askfor": {
+            pool: {"total_put": count("askfor_put_total", pool),
+                   "total_got": count("askfor_got_total", pool),
+                   "max_depth": count("askfor_depth_max", pool)}
+            for pool in series.get("askfor_put_total", {})},
+        "asyncvar": {
+            name: wait_dict(histogram) for name, histogram
+            in series.get("asyncvar_blocked_seconds", {}).items()},
+    }
 
 
 def registry_from_sim(machine_key: str, nproc: int,

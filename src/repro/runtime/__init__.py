@@ -45,7 +45,7 @@ from repro.runtime.force import Force, ForceProgramError
 from repro.runtime.askfor import AskforMonitor
 from repro.runtime.procforce import ProcessForce
 from repro.runtime.resolve import Resolve
-from repro.runtime.stats import ForceStats, render_stats
+from repro.runtime.stats import render_stats
 
 __all__ = [
     "BARRIER_ALGORITHMS",
@@ -62,7 +62,6 @@ __all__ = [
     "ForceDeadlockError",
     "ForceProgramError",
     "ForceWorkerDied",
-    "ForceStats",
     "render_stats",
     "AskforMonitor",
     "ProcessForce",

@@ -14,8 +14,9 @@ askfor ``get``, async-variable wait) wake promptly with
 :class:`ForceProgramError` instead of reporting a join timeout.
 
 Observability: ``Force(nproc, stats=True)`` records per-construct
-counters and wait times (see :mod:`repro.runtime.stats`), exposed via
-:attr:`Force.stats` / :meth:`Force.stats_report`.  ``Force(nproc,
+counters and wait times, exposed via :attr:`Force.stats` (a view of
+the run's folded metrics registry) and :meth:`Force.stats_report`
+(rendered by :mod:`repro.runtime.stats`).  ``Force(nproc,
 trace=True)`` records a structured event stream (see
 :mod:`repro.trace`) — barrier episodes, critical wait/hold spans,
 selfscheduled chunks, askfor traffic, full/empty blocking — exported
@@ -83,7 +84,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.probe import LockWord, PoolTotals, Probe
 from repro.runtime.resolve import Resolve
-from repro.runtime.stats import ForceStats, render_stats
+from repro.runtime.stats import render_stats
 from repro.trace.collector import TraceCollector
 from repro.trace.events import TraceEvent
 from repro.trace.watchdog import StallWatchdog
@@ -354,8 +355,9 @@ class Force:
         observed = self._stats_enabled or self._metrics_enabled \
             or self._trace_enabled
         self._probe: Probe | None = Probe(
-            self.nproc, stats=self._stats_enabled,
-            metrics=self._metrics_enabled, trace=self._trace_enabled,
+            self.nproc,
+            counting=self._stats_enabled or self._metrics_enabled,
+            trace=self._trace_enabled,
             trace_capacity=self._trace_capacity) if observed else None
         self._injector: FaultInjector | None = \
             FaultInjector(self._fault_plan, probe=self._probe) \
@@ -949,18 +951,12 @@ class Force:
                     if isinstance(obj, AskforMonitor)]
 
     @property
-    def _stats(self) -> ForceStats | None:
-        """Every process's stats folded into one (stats=True only)."""
+    def stats(self) -> dict[str, Any] | None:
+        """Snapshot of collected stats (None unless ``stats=True``):
+        a view of every process's metrics folded into one registry."""
         if not self._stats_enabled:
             return None
         return self._probe.stats(self._askfor_totals())
-
-    @property
-    def stats(self) -> dict[str, Any] | None:
-        """Snapshot of collected stats (None unless ``stats=True``)."""
-        if not self._stats_enabled:
-            return None
-        return self._stats.as_dict()
 
     def stats_report(self) -> str:
         """Human-readable rendering of :attr:`stats`."""

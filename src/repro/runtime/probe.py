@@ -8,17 +8,19 @@ checkpoint write, worker start/end, and the pipeline's SPINLK/SPINUN
 lock rounds — makes one ``probe is None`` test and, when a probe
 exists, one probe call.  That call times the construct, writes the
 event to the run's :class:`~repro.trace.collector.TraceCollector` ring
-(``trace=True``) and feeds the same facts to the count reducers,
-:class:`~repro.runtime.stats.ForceStats` (``stats=True``) and
-:class:`~repro.obsv.metrics.ForceMetrics` (``metrics=True``).
+(``trace=True``) and feeds the same facts to one count reducer, a
+:class:`~repro.obsv.metrics.ForceMetrics` (``stats=True`` or
+``metrics=True``).
 
 Counting follows perfbook's per-thread statistical counters: each
 Force process — a thread of the thread backend, a forked worker of the
-process backend — accumulates into reducers of its own *lane* with no
-shared lock, and reads fold the lanes through the reducers' ``merge``.
-A forked worker ships its lanes to the parent (:meth:`Probe.payload`),
-which absorbs them as lanes of its own (:meth:`Probe.absorb`), so both
-backends read the same way.
+process backend — accumulates into a reducer of its own *lane* with no
+shared lock, and reads fold the lanes' registries into one.  The
+metrics registry is that fold; the stats document is a view of it
+(:func:`~repro.obsv.metrics.stats_view`).  A forked worker ships its
+lanes to the parent (:meth:`Probe.payload`), which absorbs them as
+lanes of its own (:meth:`Probe.absorb`), so both backends read the
+same way.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import threading
 from time import monotonic
 from typing import Any, Callable, Iterable
 
-from repro.obsv.metrics import ForceMetrics, MetricsRegistry
-from repro.runtime.stats import ForceStats
+from repro.obsv.metrics import ForceMetrics, MetricsRegistry, stats_view
 from repro.trace.collector import TraceCollector
 from repro.trace.events import TraceEvent
 
@@ -91,45 +92,32 @@ class _Untraced:
         pass
 
 
-class _Lane:
-    """One Force process's count reducers (single writer, no lock)."""
-
-    __slots__ = ("stats", "metrics", "reducers")
-
-    def __init__(self, nproc: int, stats: bool, metrics: bool) -> None:
-        self.stats = ForceStats(nproc) if stats else None
-        self.metrics = ForceMetrics() if metrics else None
-        self.reducers = tuple(reducer for reducer in
-                              (self.stats, self.metrics)
-                              if reducer is not None)
-
-
 class Probe:
     """Stats, trace and metrics of one Force run behind one object."""
 
-    def __init__(self, nproc: int, *, stats: bool = False,
-                 metrics: bool = False, trace: bool = False,
-                 trace_capacity: int = 65536,
+    def __init__(self, nproc: int, *, counting: bool = False,
+                 trace: bool = False, trace_capacity: int = 65536,
                  epoch: float | None = None) -> None:
         self.nproc = nproc
-        self._stats = stats
-        self._metrics = metrics
+        #: lanes count (``stats=True`` or ``metrics=True``: both read
+        #: the same folded registry)
+        self._counting = counting
         self._trace_capacity = trace_capacity
         #: the run's trace ring (None unless ``trace=True``)
         self.tracer = TraceCollector(trace_capacity, epoch=epoch) \
             if trace else None
         self._trace = self.tracer if trace else _Untraced()
         self._local = threading.local()
-        self._lanes: list[_Lane] = []
+        self._lanes: list[ForceMetrics] = []
         self._lanes_lock = threading.Lock()
         self._absorbed_events: list[TraceEvent] = []
         self._absorbed_dropped = 0
 
-    def _lane(self) -> _Lane:
-        """The calling thread's lane, made on its first record."""
+    def _lane(self) -> ForceMetrics:
+        """The calling thread's reducer, made on its first record."""
         lane = getattr(self._local, "lane", None)
         if lane is None:
-            lane = _Lane(self.nproc, self._stats, self._metrics)
+            lane = ForceMetrics()
             with self._lanes_lock:
                 self._lanes.append(lane)
             self._local.lane = lane
@@ -162,28 +150,28 @@ class Probe:
                      ts=trace.now() - waited, dur=waited)
         if released:
             trace.record("barrier", "barrier", "episode")
-        for reducer in self._lane().reducers:
-            reducer.barrier(waited, released)
+        if self._counting:
+            self._lane().barrier(waited, released)
         return released
 
     def lock(self, kind: str, name: str, word: LockWord) -> "_TimedLock":
         """``word`` with its rounds recorded: a ``kind`` wait span when
         contended and a hold span per round; critical sections also
-        feed the reducers."""
+        feed the reducer."""
         return _TimedLock(self, kind, name, word)
 
     def chunk(self, label: str, index: int, size: int) -> None:
         """One selfscheduled chunk of ``size`` indices from ``index``."""
         self._trace.record("selfsched", label, "chunk",
                            index=index, size=size)
-        for reducer in self._lane().reducers:
-            reducer.selfsched_chunk(label, size)
+        if self._counting:
+            self._lane().selfsched_chunk(label, size)
 
     def wait(self, kind: str, name: str, blocking: Callable[..., Any],
              *args: Any, op: str = "") -> Any:
         """Return ``blocking(*args)``, run with the lane parked on
         ``kind``/``name``.  With ``op`` the wait is also a trace span;
-        an asyncvar wait feeds the reducers' blocked time."""
+        an asyncvar wait feeds the reducer's blocked time."""
         trace = self._trace
         trace.mark_parked(kind, name)
         started = monotonic()
@@ -195,9 +183,8 @@ class Probe:
             if op:
                 trace.record(kind, name, op, phase="X",
                              ts=trace.now() - waited, dur=waited)
-            if kind == "asyncvar":
-                for reducer in self._lane().reducers:
-                    reducer.asyncvar_block(name, waited)
+            if kind == "asyncvar" and self._counting:
+                self._lane().asyncvar_block(name, waited)
 
     def askfor_get(self, pool: Any) -> tuple[bool, Any]:
         """One askfor ``get`` (pool lock held): the blocked wait as a
@@ -216,8 +203,8 @@ class Probe:
         """One snapshot written at a barrier episode."""
         self._trace.record("checkpoint", name, "write", epoch=epoch,
                            bytes=nbytes)
-        for reducer in self._lane().reducers:
-            reducer.checkpoint_written(nbytes)
+        if self._counting:
+            self._lane().checkpoint_written(nbytes)
 
     def event(self, kind: str, name: str, op: str, **args: Any) -> None:
         """A trace-only instant: askfor put, dead holder, fault,
@@ -225,21 +212,15 @@ class Probe:
         self._trace.record(kind, name, op, **args)
 
     # ------------------------------------------------------------------
-    # reads (lanes folded through the reducers' merge)
+    # reads (lanes folded through the registries' merge)
     # ------------------------------------------------------------------
-    def _folded_lanes(self) -> list[_Lane]:
+    def _folded_lanes(self) -> list[ForceMetrics]:
         with self._lanes_lock:
             return list(self._lanes)
 
-    def stats(self, pools: Iterable[PoolTotals]) -> ForceStats:
-        """Every lane's stats folded into one, plus the pool totals."""
-        folded = ForceStats(self.nproc)
-        for lane in self._folded_lanes():
-            folded.merge(lane.stats)
-        for name, total_put, total_got, max_depth in pools:
-            folded.askfor(name, total_put=total_put,
-                          total_got=total_got, max_depth=max_depth)
-        return folded
+    def stats(self, pools: Iterable[PoolTotals]) -> dict[str, Any]:
+        """The stats document: a view of the folded registry."""
+        return stats_view(self.registry(pools))
 
     def registry(self, pools: Iterable[PoolTotals], *,
                  wall_s: float | None = None) -> MetricsRegistry:
@@ -247,7 +228,7 @@ class Probe:
         pool gauges and run-level facts settled."""
         folded = ForceMetrics()
         for lane in self._folded_lanes():
-            folded.registry.merge(lane.metrics.registry)
+            folded.registry.merge(lane.registry)
         for name, total_put, total_got, max_depth in pools:
             folded.askfor(name, total_put=total_put,
                           total_got=total_got, max_depth=max_depth)
@@ -270,8 +251,7 @@ class Probe:
     # ------------------------------------------------------------------
     def child(self) -> "Probe":
         """A fresh probe for a forked worker, on this trace epoch."""
-        return Probe(self.nproc, stats=self._stats,
-                     metrics=self._metrics,
+        return Probe(self.nproc, counting=self._counting,
                      trace=self.tracer is not None,
                      trace_capacity=self._trace_capacity,
                      epoch=self._trace.epoch)
@@ -324,10 +304,9 @@ class _TimedLock:
         probe = self._probe
         probe._trace.record(self._kind, self._name, "hold", phase="X",
                             ts=probe._trace.now() - held, dur=held)
-        if self._kind == "critical":
-            for reducer in probe._lane().reducers:
-                reducer.critical(self._name, self._waited,
-                                 self._contended, held)
+        if self._kind == "critical" and probe._counting:
+            probe._lane().critical(self._name, self._waited,
+                                   self._contended, held)
 
     def __enter__(self) -> None:
         self.acquire()

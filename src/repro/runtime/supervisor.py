@@ -74,10 +74,15 @@ def nproc_portable(facts: dict | None) -> tuple[bool, str]:
     says Force programs are nproc-independent; trust it).  With one,
     every DOALL must be proven race-free — a racy phase's outcome can
     depend on the interleaving width, so the supervisor refuses to
-    change nproc under it.  Returns ``(portable, why_not)``.
+    change nproc under it.  An empty document ``{}`` proves nothing:
+    the analysis yields it when it rejects the source (and for a
+    source with no Force routine), so it is not portable.  Returns
+    ``(portable, why_not)``.
     """
     if facts is None:
         return True, ""
+    if not facts:
+        return False, "no facts: the analysis proved no DOALL race-free"
     for entry in facts.get("files", []):
         for doall in entry.get("doalls", []):
             if not doall.get("race_free", False):

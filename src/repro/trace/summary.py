@@ -23,18 +23,22 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.runtime.stats import WaitStat
+from repro.obsv.metrics import Histogram, wait_dict
 from repro.trace.events import TraceEvent
 
 
-def _stat_dict(stat: WaitStat) -> dict[str, float]:
-    return stat.as_dict()
+def _observe(entry: dict[str, Any], key: str, seconds: float) -> None:
+    """Record one measured span in ``entry[key]``, a histogram made on
+    first use (an absent one reports zeros through :func:`wait_dict`)."""
+    if entry[key] is None:
+        entry[key] = Histogram()
+    entry[key].observe(seconds)
 
 
 def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
     """Reduce an event stream to per-construct summaries."""
     lanes = sorted({e.proc for e in events})
-    barrier_wait = WaitStat()
+    barrier: dict[str, Any] = {"wait": None}
     episodes = 0
     barrier_waits_seen = 0
     criticals: dict[str, dict[str, Any]] = {}
@@ -49,19 +53,19 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
             elif event.op == "wait":
                 barrier_waits_seen += 1
                 if event.phase == "X":
-                    barrier_wait.record(event.dur)
+                    _observe(barrier, "wait", event.dur)
         elif event.kind == "critical":
             entry = criticals.setdefault(
                 event.name, {"acquisitions": 0, "contended": 0,
-                             "wait": WaitStat(), "hold": WaitStat()})
+                             "wait": None, "hold": None})
             if event.op in ("hold", "acquire", "grant"):
                 entry["acquisitions"] += 1
             if event.op == "hold" and event.phase == "X":
-                entry["hold"].record(event.dur)
+                _observe(entry, "hold", event.dur)
             if event.op == "wait":
                 entry["contended"] += 1
                 if event.phase == "X":
-                    entry["wait"].record(event.dur)
+                    _observe(entry, "wait", event.dur)
         elif event.kind == "selfsched":
             entry = selfsched.setdefault(
                 event.name, {"chunks": 0, "per_process": {}})
@@ -71,21 +75,21 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
                 per[event.proc] = per.get(event.proc, 0) + 1
         elif event.kind == "askfor":
             entry = askfor.setdefault(
-                event.name, {"put": 0, "got": 0, "wait": WaitStat()})
+                event.name, {"put": 0, "got": 0, "wait": None})
             if event.op == "put":
                 entry["put"] += 1
             elif event.op == "got":
                 entry["got"] += 1
             elif event.op in ("wait", "block") and event.phase == "X":
-                entry["wait"].record(event.dur)
+                _observe(entry, "wait", event.dur)
         elif event.kind == "asyncvar":
             entry = asyncvar.setdefault(
-                event.name, {"blocked": 0, "wait": WaitStat(),
+                event.name, {"blocked": 0, "wait": None,
                              "by_op": {}})
             entry["blocked"] += 1
             entry["by_op"][event.op] = entry["by_op"].get(event.op, 0) + 1
             if event.phase == "X":
-                entry["wait"].record(event.dur)
+                _observe(entry, "wait", event.dur)
 
     return {
         "processes": lanes,
@@ -93,14 +97,14 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
         "barriers": {
             "episodes": episodes,
             "waits": barrier_waits_seen,
-            "wait": _stat_dict(barrier_wait),
+            "wait": wait_dict(barrier["wait"]),
         },
         "criticals": {
             name: {
                 "acquisitions": entry["acquisitions"],
                 "contended": entry["contended"],
-                "wait": _stat_dict(entry["wait"]),
-                "hold": _stat_dict(entry["hold"]),
+                "wait": wait_dict(entry["wait"]),
+                "hold": wait_dict(entry["hold"]),
             }
             for name, entry in sorted(criticals.items())
         },
@@ -112,13 +116,13 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, Any]:
         },
         "askfor": {
             name: {"put": entry["put"], "got": entry["got"],
-                   "wait": _stat_dict(entry["wait"])}
+                   "wait": wait_dict(entry["wait"])}
             for name, entry in sorted(askfor.items())
         },
         "asyncvar": {
             name: {"blocked": entry["blocked"],
                    "by_op": dict(sorted(entry["by_op"].items())),
-                   "wait": _stat_dict(entry["wait"])}
+                   "wait": wait_dict(entry["wait"])}
             for name, entry in sorted(asyncvar.items())
         },
     }

@@ -186,7 +186,7 @@ class TestForceWiring:
             force.metrics_registry()
 
     def test_thread_backend_records_constructs(self):
-        force = Force(4, metrics=True)
+        force = Force(4, metrics=True, stats=True)
         force.run(_program)
         doc = force.metrics_registry(wall_s=0.5).as_dict()
         assert validate_metrics(doc) == []
@@ -198,18 +198,24 @@ class TestForceWiring:
         assert acq["value"] == 4
         indices = by_name["force_selfsched_indices_total"][0]
         assert indices["value"] == 20
+        chunk_max = by_name["force_selfsched_chunk_max"][0]
+        assert chunk_max["labels"] == {"label": "L10"}
+        assert chunk_max["value"] == \
+            force.stats["selfsched"]["L10"]["max_chunk"] == 1
         assert by_name["force_barrier_episodes_total"][0]["value"] == 2
         assert by_name["force_processes"][0]["value"] == 4
         assert by_name["force_run_wall_seconds"][0]["value"] == 0.5
 
     def test_process_backend_merges_workers(self):
-        force = Force(4, backend="process", metrics=True)
+        force = Force(4, backend="process", metrics=True, stats=True)
         force.run(_program)
         doc = force.metrics_registry().as_dict()
         assert validate_metrics(doc) == []
         by_name = {m["name"]: m for m in doc["metrics"]}
         assert by_name["force_critical_acquisitions_total"]["value"] == 4
         assert by_name["force_selfsched_indices_total"]["value"] == 20
+        assert by_name["force_selfsched_chunk_max"]["value"] == \
+            force.stats["selfsched"]["L10"]["max_chunk"] == 1
 
 
 class TestSimIngestion:

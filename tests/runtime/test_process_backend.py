@@ -313,14 +313,16 @@ class TestPicklableState:
         assert clone.as_dict() == plan.as_dict()
 
     def test_stats_and_trace_round_trip(self, tmp_path):
+        from repro.obsv.metrics import stats_view
+        from repro.runtime.stats import render_stats
         force = _run("thread", askfor_tree_program,
-                     str(tmp_path / "out.txt"), stats=True, trace=True)
-        stats_clone = pickle.loads(pickle.dumps(force._stats))
-        assert stats_clone.as_dict() == force._stats.as_dict()
-        # and the published dict survives a from_dict/as_dict cycle
-        from repro.runtime.stats import ForceStats
-        assert ForceStats.from_dict(force.stats).as_dict() == \
-            force.stats
+                     str(tmp_path / "out.txt"), stats=True, trace=True,
+                     metrics=True)
+        # the folded registry pickles, and the stats view of the clone
+        # is the published stats dict and report
+        clone = pickle.loads(pickle.dumps(force.metrics_registry()))
+        assert stats_view(clone) == force.stats
+        assert render_stats(stats_view(clone)) == force.stats_report()
         events = force.trace_events()
         clones = pickle.loads(pickle.dumps(events))
         assert [e.as_dict() for e in clones] == \

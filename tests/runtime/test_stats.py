@@ -1,8 +1,8 @@
-"""ForceStats collection and the shared stats report format."""
+"""Force.stats collection and the shared stats report format."""
 
 import pytest
 
-from repro.runtime import Force, ForceStats, render_stats
+from repro.runtime import Force, render_stats
 from repro._util.errors import ForceError
 
 
@@ -144,6 +144,8 @@ class TestRendering:
         assert render_stats({}) == ""
 
     def test_force_stats_object_renders(self):
-        stats = ForceStats(2)
-        stats.barrier(0.001, released=True)
-        assert "episodes:            1" in stats.render()
+        force = Force(nproc=2, timeout=10, stats=True)
+        force.run(lambda force, me: force.barrier())
+        assert force.stats["barriers"]["episodes"] == 1
+        assert "episodes:            1" in force.stats_report()
+        assert force.stats_report() == render_stats(force.stats)

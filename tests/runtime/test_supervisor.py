@@ -205,6 +205,22 @@ class TestElasticRestart:
         assert portable and why == ""
         assert nproc_portable(None) == (True, "")
 
+    def test_empty_facts_refuse_elasticity(self):
+        # program_facts yields {} when the analysis rejects a source:
+        # no DOALL was proven race-free, so nproc must not change.
+        portable, why = nproc_portable({})
+        assert not portable
+        assert "no facts" in why
+        script = Script([died, None])
+        run = _supervise(script, nproc=4, min_nproc=2, facts={},
+                         retry=RetryPolicy(retries=2, degrade_after=1,
+                                           **FAST))
+        assert not run.portable
+        assert run.refusal_reason == why
+        assert run.run().ok
+        # the plain retry still happens, at full width
+        assert [c[0] for c in script.calls] == [4, 4]
+
     def test_width_validation(self):
         with pytest.raises(ForceError):
             _supervise(Script([None]), nproc=0)
